@@ -29,8 +29,11 @@ from .verification import available_checks, check_theorem, run_all
 
 def _read_payload(args) -> str:
     if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {args.input}: {exc.strerror}") from exc
     return sys.stdin.read()
 
 
@@ -112,6 +115,8 @@ def _cmd_graph(args) -> int:
         g = crystal_graph_svt(seed, args.blocks or seed.max_entry())
         label = lambda t: pretty(t).replace("\n", "\\n")
     else:
+        if args.seed is None:
+            raise ValidationError(f"the {args.crystal} crystal needs --seed")
         seed = formats.parse_factorization(args.seed)
         g = crystal_graph(seed) if args.crystal == "star" else crystal_graph_local3(seed)
         label = str

@@ -36,12 +36,20 @@ __all__ = [
 _BLOCK = re.compile(r"\(([^()]*)\)")
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    """The integers of a comma- or space-separated list."""
+    try:
+        return tuple(int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok)
+    except ValueError as exc:
+        raise ValidationError(f"cannot read integers from {text!r}") from exc
+
+
 def _letters(text: str) -> tuple[int, ...]:
     text = text.replace("\\;", " ").strip()
     if not text:
         return ()
     if any(sep in text for sep in (" ", ",")):
-        return tuple(int(tok) for tok in re.split(r"[,\s]+", text) if tok)
+        return _ints(text)
     if not text.isdigit():
         raise ValidationError(f"cannot read letters from {text!r}")
     return tuple(int(ch) for ch in text)
@@ -75,14 +83,8 @@ def parse_biword(text: str, n: int | None = None) -> HeckeBiword:
 
 
 def parse_shape(text: str) -> SkewShape:
-    text = text.strip()
-    if "/" in text:
-        outer_text, inner_text = text.split("/", 1)
-    else:
-        outer_text, inner_text = text, ""
-    outer = tuple(int(t) for t in re.split(r"[,\s]+", outer_text.strip()) if t)
-    inner = tuple(int(t) for t in re.split(r"[,\s]+", inner_text.strip()) if t)
-    return SkewShape(outer, inner)
+    outer_text, _, inner_text = text.partition("/")
+    return SkewShape(_ints(outer_text), _ints(inner_text))
 
 
 def word_to_json(w: HeckeWord) -> dict[str, Any]:
@@ -112,11 +114,24 @@ def filling_to_json(t: SetValuedFilling) -> dict[str, Any]:
 
 def filling_from_json(data: dict[str, Any],
                       cls: type = SkewSetValuedTableau) -> SetValuedFilling:
+    if not isinstance(data, dict):
+        raise ValidationError(f"tableau JSON must be an object, got {data!r}")
     if data.get("notation", "french") != "french":
         raise ValidationError("only French notation is supported")
-    shape = SkewShape(tuple(data["outer"]), tuple(data.get("inner", ())))
-    rows = tuple(tuple(tuple(cell) for cell in row) for row in data["rows"])
-    return cls(shape, rows)
+    if "outer" not in data or "rows" not in data:
+        raise ValidationError('tableau JSON needs "outer" and "rows"')
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError(f'"rows" must be a list of rows, got {rows!r}')
+    shape = SkewShape(_json_ints(data["outer"], '"outer"'),
+                      _json_ints(data.get("inner", []), '"inner"'))
+    return cls(shape, tuple(tuple(_json_ints(cell, "a cell") for cell in row) for row in rows))
+
+
+def _json_ints(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:

@@ -28,18 +28,6 @@ class ColoredDigraph:
     def nodes(self) -> set[Hashable]:
         return set(self.weights)
 
-    def out_edge(self, u: Hashable, color: int) -> Hashable | None:
-        for a, c, b in self.edges:
-            if a == u and c == color:
-                return b
-        return None
-
-    def in_edge(self, v: Hashable, color: int) -> Hashable | None:
-        for a, c, b in self.edges:
-            if b == v and c == color:
-                return a
-        return None
-
     def _adjacency(self) -> dict[Hashable, list[Hashable]]:
         adj: dict[Hashable, list[Hashable]] = {u: [] for u in self.weights}
         for a, _, b in self.edges:

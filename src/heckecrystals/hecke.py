@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "HeckeWord",
@@ -121,11 +121,6 @@ def equivalent(a: HeckeWord, b: HeckeWord) -> bool:
     if a.n != b.n:
         raise ValidationError(f"mixed alphabet bounds: {a.n} != {b.n}")
     return eval_word(a) == eval_word(b)
-
-
-def require_fully_commutative(e: HeckeElement, context: str) -> None:
-    if not is_fully_commutative(e):
-        raise DomainError(f"{context}: element {e} contains a 321 pattern")
 
 
 def all_elements(n: int) -> list[HeckeElement]:

@@ -1,25 +1,29 @@
 """The residue map between set-valued tableaux and decreasing factorizations.
 
 ``res`` reads, for each letter ``k``, the diagonal labels (``rows + col -
-row``) of the cells containing ``k``; the inverse places letters back on
-their diagonals, largest letter first, keeping every intermediate stage
-a semistandard filling of a skew diagram.
+row``) of the cells containing ``k``.
 
-The inverse is only determined up to sliding groups of cells along
-diagonals when the used labels have a gap of three or more.  We
-therefore split the labels into *clusters* (maximal runs with gaps at
-most two), solve each cluster rigidly, and stack the solved clusters
-bottom-up in decreasing label order, inserting empty rows only where the
-diagram demands them.  Among all valid stackings the canonical
-representative minimizes the number of rows and then the inner shape
-lexicographically; ``res_inv_shaped`` instead pins the shape and returns
-the unique filling on it.
+The inverse is built, not searched for.  The cells of a tableau whose
+residue is fully commutative form the heap of the residue's Demazure
+product, which is a skew diagram (Stembridge, "On the fully commutative
+elements of Coxeter groups", 1996).  Reading the letters of ``f`` in word
+order (largest letter first, labels decreasing), a letter on label ``c``
+joins the latest cell on ``c`` when that cell is newer than the latest
+cells on ``c - 1`` and ``c + 1``: there the Demazure product keeps the
+permutation fixed.  Otherwise it opens a new cell, in the row of the
+latest cell on ``c + 1`` and one row below the latest cells on ``c - 1``
+and ``c``.  These links fix the rows inside each run of consecutive
+labels.  A row never holds two runs, and runs with larger labels sit
+lower, so only the height of each run is free; where two runs' labels
+differ by exactly two they touch at a corner.
+
+``res_inv`` stacks the runs with no empty rows between them, which gives
+the canonical preimage: fewest rows, then lexicographically smallest
+inner shape.  ``res_inv_shaped`` instead anchors each run on the given
+shape and returns the unique filling on it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from itertools import product
 
 from .errors import DomainError, ReconstructionError, ValidationError
 from .factorization import DecreasingFactorization
@@ -28,8 +32,7 @@ from .tableaux import SetValuedFilling, SkewSetValuedTableau, SkewShape, from_ce
 
 __all__ = ["res", "res_inv", "res_inv_shaped"]
 
-Placement = tuple[int, int]          # (diagonal label, letter)
-Layout = dict[tuple[int, int], tuple[int, ...]]   # (row, label) -> letters
+Run = dict[tuple[int, int], tuple[int, ...]]   # (row, label) -> letters, row 0 lowest
 
 
 def res(t: SetValuedFilling, m: int | None = None) -> DecreasingFactorization:
@@ -50,335 +53,104 @@ def res(t: SetValuedFilling, m: int | None = None) -> DecreasingFactorization:
     return DecreasingFactorization(factors, max(n, 1))
 
 
-def _placements(f: DecreasingFactorization) -> list[Placement]:
-    return [(c, k) for k in range(f.m, 0, -1) for c in sorted(f.factor(k), reverse=True)]
-
-
 def _require_fc(f: DecreasingFactorization, what: str) -> None:
     if not is_fully_commutative(f.eval()):
         raise DomainError(f"{what} requires a fully-commutative factorization, got {f}")
 
 
-# ---------------------------------------------------------------------------
-# stage geometry in (row, label) coordinates
-#
-# A cell in row i on diagonal label c sits in column  c - total_rows + i,
-# so with the global shift unknown we work with j~ = c + i, which differs
-# from the true column by a constant.
-
-def _stage_ok(cells: Layout) -> bool:
-    """Do the occupied cells form a skew diagram (semistandardness of the
-    letter sets is checked separately, cell by cell)?"""
-    if not cells:
-        return True
-    rows: dict[int, list[int]] = {}
-    for (r, c) in cells:
-        rows.setdefault(r, []).append(c + r)
-    spans: dict[int, tuple[int, int]] = {}
-    for r, js in rows.items():
-        js.sort()
-        if js[-1] - js[0] + 1 != len(js):
-            return False
-        spans[r] = (js[0], js[-1])
-    order = sorted(spans)
-    for r, r2 in zip(order, order[1:]):
-        lo_min, lo_max = spans[r]
-        hi_min, hi_max = spans[r2]
-        if r2 == r + 1:
-            if lo_max < hi_max or lo_min < hi_min:
-                return False
-        else:
-            # empty rows in between force the upper block weakly left of
-            # the lower block's inner margin
-            if lo_min - 1 < hi_max:
-                return False
-    return True
-
-
-def _local_ok(cells: Layout, r: int, c: int) -> bool:
-    """Partial semistandardness around cell (r, c): right neighbor is
-    (r, c+1), the cell directly above is (r+1, c-1)."""
-    mine = cells[(r, c)]
-    right = cells.get((r, c + 1))
-    if right is not None and max(mine) > min(right):
-        return False
-    left = cells.get((r, c - 1))
-    if left is not None and max(left) > min(mine):
-        return False
-    above = cells.get((r + 1, c - 1))
-    if above is not None and max(mine) >= min(above):
-        return False
-    below = cells.get((r - 1, c + 1))
-    if below is not None and max(below) >= min(mine):
-        return False
-    return True
-
-
-def _cluster_layouts(placements: list[Placement]) -> list[Layout]:
-    """All rigid fillings of one label cluster, rows normalized to 1..h.
-
-    Backtracks over the cells carrying each placement, letters processed
-    from largest to smallest, one full letter at a time between skew
-    checks.  The search is exhaustive; in practice a cluster admits
-    exactly one layout.
-    """
-    span = len(placements) + 1
-    results: list[Layout] = []
-    seen: set[frozenset] = set()
-
-    by_letter: dict[int, list[int]] = {}
-    for c, k in placements:
-        by_letter.setdefault(k, []).append(c)
-    letters = sorted(by_letter, reverse=True)
-    for k in letters:
-        by_letter[k].sort(reverse=True)
-    flat: list[Placement] = [(c, k) for k in letters for c in by_letter[k]]
-    phase_end = [idx + 1 == len(flat) or flat[idx][1] != flat[idx + 1][1]
-                 for idx in range(len(flat))]
-
-    def candidates(cells: Layout, c: int) -> list[int]:
-        existing = [r for (r, c2) in cells if c2 == c]
-        if not cells:
-            return [0]
-        rmin = min(r for r, _ in cells)
-        rmax = max(r for r, _ in cells)
-        fresh = [r for r in range(rmin - span, rmax + span + 1) if (r, c) not in cells]
-        return existing + fresh
-
-    def rec(idx: int, cells: Layout) -> None:
-        if idx == len(flat):
-            rows = sorted({r for r, _ in cells})
-            if rows[-1] - rows[0] + 1 != len(rows):
-                return
-            shift = 1 - rows[0]
-            norm = {(r + shift, c): tuple(v) for (r, c), v in cells.items()}
-            key = frozenset((rc, vs) for rc, vs in norm.items())
-            if key not in seen:
-                seen.add(key)
-                results.append(norm)
-            return
-        c, k = flat[idx]
-        for r in candidates(cells, c):
-            old = cells.get((r, c))
-            cells[(r, c)] = (old or ()) + (k,)
-            if _local_ok(cells, r, c) and (not phase_end[idx] or _stage_ok(cells)):
-                rec(idx + 1, cells)
-            if old is None:
-                del cells[(r, c)]
-            else:
-                cells[(r, c)] = old
-    rec(0, {})
-    return results
-
-
-def _clusters(placements: list[Placement]) -> list[list[Placement]]:
-    labels = sorted({c for c, _ in placements}, reverse=True)
-    groups: list[list[int]] = [[labels[0]]]
-    for c in labels[1:]:
-        if groups[-1][-1] - c >= 3:
-            groups.append([c])
-        else:
-            groups[-1].append(c)
-    return [[p for p in placements if p[0] in g] for g in groups]
-
-
-def _assemble(f: DecreasingFactorization,
-              cluster_layouts: list[list[Layout]]) -> SkewSetValuedTableau:
-    """Stack solved clusters (largest labels at the bottom), minimizing
-    total rows and then the inner shape."""
-    ncl = len(cluster_layouts)
-    base = sum(min(max(r for r, _ in lay) for lay in lays) for lays in cluster_layouts)
-    cells_bound = sum(len(lays[0]) for lays in cluster_layouts)
-
-    def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-        if parts == 0:
-            return [()] if total == 0 else []
-        return [(g,) + rest for g in range(total + 1)
-                for rest in compositions(total - g, parts - 1)]
-
-    for total_rows in range(base, base + cells_bound + 6):
-        best: tuple | None = None
-        for choice in product(*cluster_layouts):
-            hs = [max(r for r, _ in lay) for lay in choice]
-            slack = total_rows - sum(hs)
-            if slack < 0:
+def _runs(f: DecreasingFactorization) -> list[Run]:
+    """The heap of ``f``, one run of consecutive labels at a time, the
+    run with the largest labels first."""
+    labels: list[int] = []                        # per cell, in the order cells open
+    letters: list[list[int]] = []
+    links: list[list[tuple[int, int]]] = []       # (other cell, its row minus this row)
+    top: dict[int, int] = {}                      # label -> latest cell on it
+    for k in range(f.m, 0, -1):
+        for c in f.factor(k):
+            latest = top.get(c, -1)
+            if latest > top.get(c - 1, -1) and latest > top.get(c + 1, -1):
+                letters[latest].append(k)
                 continue
-            for gaps in compositions(slack, ncl - 1):
-                t = _build(choice, hs, list(gaps) + [0], total_rows, f)
-                if t is None:
-                    continue
-                key = (t.shape.inner, t.shape.outer, t.rows)
-                if best is None or key < best[0]:
-                    best = (key, t)
-        if best is not None:
-            return best[1]
-    raise ReconstructionError(f"no skew filling realizes {f}")
+            new = len(labels)
+            labels.append(c)
+            letters.append([k])
+            links.append([])
+            for label, up in ((c + 1, 0), (c - 1, 1), (c, 1)):
+                if label in top:
+                    links[new].append((top[label], up))
+                    links[top[label]].append((new, -up))
+            top[c] = new
+
+    row: list[int | None] = [None] * len(labels)
+    runs: list[Run] = []
+    for first in range(len(labels)):
+        if row[first] is not None:
+            continue
+        row[first] = 0
+        run, todo = [first], [first]
+        while todo:
+            u = todo.pop()
+            for v, up in links[u]:
+                if row[v] is None:
+                    row[v] = row[u] + up
+                    run.append(v)
+                    todo.append(v)
+        low = min(row[u] for u in run)
+        runs.append({(row[u] - low, labels[u]): tuple(reversed(letters[u])) for u in run})
+    runs.sort(key=lambda run: -max(c for _, c in run))
+    return runs
 
 
-def _build(choice: tuple[Layout, ...], heights: list[int], gaps: list[int],
-           total_rows: int, f: DecreasingFactorization) -> SkewSetValuedTableau | None:
-    cells: dict[tuple[int, int], tuple[int, ...]] = {}
-    offset = 0
-    for lay, h, g in zip(choice, heights, gaps):
-        for (r, c), vals in lay.items():
-            i = r + offset
-            j = c - total_rows + i
-            if j < 1:
-                return None
-            cells[(i, j)] = vals
-        offset += h + g
-    if offset != total_rows:
-        return None
-    occupied: dict[int, tuple[int, int]] = {}
-    for (i, j) in cells:
-        lo, hi = occupied.get(i, (j, j))
-        occupied[i] = (min(lo, j), max(hi, j))
-    outer = [0] * total_rows
-    inner = [0] * total_rows
-    for i in range(total_rows, 0, -1):
-        if i in occupied:
-            inner[i - 1] = occupied[i][0] - 1
-            outer[i - 1] = occupied[i][1]
-        else:
-            if i == total_rows:
-                return None
-            outer[i - 1] = inner[i - 1] = outer[i]
+def _fill(f: DecreasingFactorization, outer: tuple[int, ...], inner: tuple[int, ...],
+          cells: dict[tuple[int, int], tuple[int, ...]]) -> SkewSetValuedTableau:
+    """The tableau with ``cells`` on ``outer/inner``; any way in which it
+    fails to be a preimage of ``f`` is a :class:`ReconstructionError`."""
     try:
-        shape = SkewShape(tuple(outer), _strip(inner))
-        t = from_cells(shape, cells)  # validates semistandardness
-    except ValidationError:
-        return None
+        t = from_cells(SkewShape(outer, inner), cells)
+    except ValidationError as exc:
+        raise ReconstructionError(f"no skew filling realizes {f}: {exc}") from exc
     if res(t, f.m).factors != f.factors:
-        return None
-    return t
-
-
-def _strip(inner: list[int]) -> tuple[int, ...]:
-    k = len(inner)
-    while k and inner[k - 1] == 0:
-        k -= 1
-    return tuple(inner[:k])
-
-
-_RES_INV_MEMO: dict[DecreasingFactorization, SkewSetValuedTableau] = {}
-
-
-def _res_inv_search(f: DecreasingFactorization) -> SkewSetValuedTableau:
-    """Uncached search for the canonical preimage."""
-    placements = _placements(f)
-    if not placements:
-        return SkewSetValuedTableau(SkewShape((), ()), ())
-    clusters = _clusters(placements)
-    layouts = [_cluster_layouts(cl) for cl in clusters]
-    for cl, lays in zip(clusters, layouts):
-        if not lays:
-            raise ReconstructionError(
-                f"cannot place letters on labels {sorted({c for c, _ in cl})}")
-    return _assemble(f, layouts)
+        raise ReconstructionError(f"cannot place the letters of {f} within shape {t.shape}")
+    return t  # type: ignore[return-value]
 
 
 def res_inv(f: DecreasingFactorization) -> SkewSetValuedTableau:
     """Canonical preimage of ``f`` under :func:`res`: fewest rows, then
     lexicographically smallest inner shape."""
     _require_fc(f, "res_inv")
-    got = _RES_INV_MEMO.get(f)
-    if got is None:
-        got = _res_inv_search(f)
-        if len(_RES_INV_MEMO) > 200_000:
-            _RES_INV_MEMO.clear()
-        _RES_INV_MEMO[f] = got
-    return got
-
-
-def canonical_form(t: SetValuedFilling, m: int) -> SkewSetValuedTableau:
-    """Repack a valid tableau into the canonical representative of its
-    residue class by sliding its label clusters together.
-
-    Equivalent to ``res_inv(res(t, m))`` but without any search: the
-    rigid cluster layouts are read off the given tableau.
-    """
-    f = res(t, m)
-    cells = [(i, t.shape.content(i, j), cell) for i, j, cell in t.cells()]
-    if not cells:
-        return SkewSetValuedTableau(SkewShape((), ()), ())
-    got = _RES_INV_MEMO.get(f)
-    if got is not None:
-        return got
-    groups = _clusters([(c, k) for _, c, cell in cells for k in cell])
-    layouts: list[list[Layout]] = []
-    for group in groups:
-        labels = {c for c, _ in group}
-        mine = [(r, c, cell) for r, c, cell in cells if c in labels]
-        base = min(r for r, _, _ in mine)
-        layouts.append([{(r - base + 1, c): tuple(cell) for r, c, cell in mine}])
-    # clusters with larger labels sit lower; _assemble wants that order
-    layouts.sort(key=lambda lays: -max(c for _, c in lays[0]))
-    result = _assemble(f, layouts)
-    if len(_RES_INV_MEMO) > 200_000:
-        _RES_INV_MEMO.clear()
-    _RES_INV_MEMO[f] = result
-    return result
+    runs = _runs(f)
+    heights = [max(r for r, _ in run) + 1 for run in runs]
+    rows = sum(heights)
+    cells: dict[tuple[int, int], tuple[int, ...]] = {}
+    base = 1
+    for run, height in zip(runs, heights):
+        for (r, c), vals in run.items():
+            cells[(base + r, c + base + r - rows)] = vals
+        base += height
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    for i, j in cells:
+        left[i] = min(left.get(i, j), j)
+        right[i] = max(right.get(i, j), j)
+    outer = tuple(right.get(i, 0) for i in range(1, rows + 1))
+    inner = [left.get(i, 1) - 1 for i in range(1, rows + 1)]
+    while inner and inner[-1] == 0:
+        inner.pop()
+    return _fill(f, outer, tuple(inner), cells)
 
 
 def res_inv_shaped(f: DecreasingFactorization, shape: SkewShape) -> SkewSetValuedTableau:
     """The unique filling of ``shape`` with residue ``f``."""
     _require_fc(f, "res_inv_shaped")
-    placements = _placements(f)
-    if not placements:
-        if shape.size() != 0:
-            raise ReconstructionError("nonempty shape for an empty factorization")
-        return SkewSetValuedTableau(shape, tuple(() for _ in range(shape.rows)))
-    by_label: dict[int, list[tuple[int, int]]] = {}
+    lowest: dict[int, int] = {}                   # label -> lowest row of shape on it
     for i, j in shape.cells():
-        by_label.setdefault(shape.content(i, j), []).append((i, j))
-
+        lowest.setdefault(shape.content(i, j), i)
     cells: dict[tuple[int, int], tuple[int, ...]] = {}
-    solutions: list[dict] = []
-    deepest = 0
-
-    def local_ok(i: int, j: int) -> bool:
-        mine = cells[(i, j)]
-        right = cells.get((i, j + 1))
-        if right is not None and max(mine) > min(right):
-            return False
-        left = cells.get((i, j - 1))
-        if left is not None and max(left) > min(mine):
-            return False
-        above = cells.get((i + 1, j))
-        if above is not None and max(mine) >= min(above):
-            return False
-        below = cells.get((i - 1, j))
-        if below is not None and max(below) >= min(mine):
-            return False
-        return True
-
-    def rec(idx: int) -> None:
-        nonlocal deepest
-        deepest = max(deepest, idx)
-        if len(solutions) > 1:
-            return
-        if idx == len(placements):
-            if len(cells) == shape.size():
-                solutions.append(dict(cells))
-            return
-        c, k = placements[idx]
-        for (i, j) in by_label.get(c, ()):
-            prev = cells.get((i, j))
-            if prev is not None and k in prev:
-                continue
-            cells[(i, j)] = (prev or ()) + (k,)
-            if local_ok(i, j):
-                rec(idx + 1)
-            if prev is None:
-                del cells[(i, j)]
-            else:
-                cells[(i, j)] = prev
-
-    rec(0)
-    if not solutions:
-        c, k = placements[min(deepest, len(placements) - 1)]
-        raise ReconstructionError(
-            f"cannot place letter {k} on diagonal label {c} within shape {shape}")
-    if len(solutions) > 1:
-        raise ReconstructionError(f"shape {shape} does not determine the filling of {f}")
-    return from_cells(shape, solutions[0])  # type: ignore[return-value]
+    for run in _runs(f):
+        _, anchor = min(run)                      # a cell in the run's lowest row
+        if anchor not in lowest:
+            raise ReconstructionError(f"shape {shape} has no cell on diagonal label {anchor}")
+        for (r, c), vals in run.items():
+            i = lowest[anchor] + r
+            cells[(i, c + i - shape.rows)] = vals
+    return _fill(f, shape.outer, shape.inner, cells)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .factorization import DecreasingFactorization, HeckeBiword, to_biword
 from .insertion import InsertionResult, star_insert
-from .residue import res, res_inv
+from .residue import res_inv
 from .tableaux import (
     FlaggedIncreasingTableau,
     SemistandardTableau,

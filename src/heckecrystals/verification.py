@@ -33,7 +33,7 @@ from .grothendieck import (
 from .hecke import HeckeElement, fully_commutative_elements, is_fully_commutative
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, crystal_graph_local3, e3, f3
-from .residue import canonical_form, res, res_inv
+from .residue import res, res_inv
 from .star_crystal import e_star, f_star, pairing
 from .svt_crystal import e_classical, e_svt, f_classical, f_svt
 from .tableaux import SkewSetValuedTableau, SkewShape, weight_of
@@ -450,8 +450,7 @@ def _check_uncrowding_compat(b: Bounds, report: CheckReport) -> None:
                 continue
             seen.add(h.factors)
             report.instances += 1
-            canonical = canonical_form(t, b.m)
-            p_tilde, _ = uncrowd(canonical)
+            p_tilde, _ = uncrowd(res_inv(h))
             q = star_tilde(h).q
             if q != p_tilde:
                 report.fail(f"uncrowding mismatch for {h} (from {t.rows} on {shape})")

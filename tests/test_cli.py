@@ -78,6 +78,46 @@ def test_residue_invert_with_shape(capsys, monkeypatch):
     assert json.loads(out)["outer"] == [3, 3, 1, 1, 1]
 
 
+def test_residue_invert_second_example_without_shape(capsys, monkeypatch):
+    code, out = run(capsys, "residue", "--invert", stdin="(8431)(863)(8654)(941)",
+                    monkeypatch=monkeypatch)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["outer"], data["inner"]) == ([5, 5, 4, 3, 1], [4, 4, 1, 1])
+    assert data["rows"] == [[[1]], [[2, 3, 4]], [[1, 2], [2], [2, 3]],
+                            [[3, 4], [4]], [[1, 4]]]
+
+
+@pytest.mark.parametrize("shape, stdin", [("a,b", "(61)(752)(75)(762)"),
+                                          (None, "(1,a)")])
+def test_residue_invert_rejects_non_integers(capsys, monkeypatch, shape, stdin):
+    argv = ["residue", "--invert"] + (["--shape", shape] if shape else [])
+    code, _ = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["residue", "uncrowd"])
+@pytest.mark.parametrize("payload", [
+    "[1]",                                   # not an object
+    '{"rows": [[[1]]]}',                     # no outer
+    '{"outer": [1]}',                        # no rows
+    '{"outer": [1], "rows": [[[1.5]]]}',     # a cell entry that is not an integer
+])
+def test_malformed_tableau_json_is_invalid_input(capsys, monkeypatch, command, payload):
+    code, _ = run(capsys, command, stdin=payload, monkeypatch=monkeypatch)
+    assert code == 2
+
+
+def test_graph_star_without_seed_is_invalid_input(capsys):
+    code, _ = run(capsys, "graph", "--crystal", "star")
+    assert code == 2
+
+
+def test_missing_input_file_is_invalid_input(capsys, tmp_path):
+    code, _ = run(capsys, "residue", "--input", str(tmp_path / "missing.json"))
+    assert code == 2
+
+
 def test_uncrowd_json(capsys, monkeypatch):
     tableau = json.dumps({
         "notation": "french",

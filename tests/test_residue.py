@@ -2,13 +2,7 @@ import pytest
 
 from heckecrystals.errors import DomainError, ReconstructionError
 from heckecrystals.formats import parse_factorization as pf
-from heckecrystals.residue import (
-    _res_inv_search,
-    canonical_form,
-    res,
-    res_inv,
-    res_inv_shaped,
-)
+from heckecrystals.residue import res, res_inv, res_inv_shaped
 from heckecrystals.tableaux import SkewSetValuedTableau, SkewShape, weight_of
 from heckecrystals.verification import Bounds, skew_shapes, svt_fillings
 
@@ -47,6 +41,7 @@ def test_inverse_with_prescribed_shape_second_example():
     assert t.rows == (((1,),), ((2, 3, 4),), ((1, 2), (2,), (2, 3)),
                       ((3, 4), (4,)), ((1, 4),))
     assert res(t, 4) == pf("(8431)(863)(8654)(941)")
+    assert res_inv(pf("(8431)(863)(8654)(941)")) == t  # the published shape is canonical
 
 
 def test_inverse_rejects_inconsistent_shape():
@@ -85,18 +80,21 @@ def test_round_trips_exhaustively():
             assert shaped == back
 
 
-def test_canonical_form_agrees_with_search():
-    bounds = Bounds(m=2, max_cells=3, max_rows=3, max_cols=3)
+def test_inverse_is_least_preimage():
+    """Against every preimage in the box: ``res_inv`` uses the fewest rows,
+    and when it fits in the box it is the least by rows, then inner shape."""
+    bounds = Bounds(m=3, max_cells=3, max_rows=3, max_cols=3)
+    preimages: dict[tuple, list] = {}
     for shape in skew_shapes(bounds):
-        for t in svt_fillings(shape, 2):
-            f = res(t, 2)
-            assert canonical_form(t, 2) == _res_inv_search(f)
-    # a sliding case with a label gap of three
-    wide = pf("(61)(752)(75)(762)")
-    assert canonical_form(res_inv(wide), 4) == _res_inv_search(wide)
-
-
-def test_canonical_form_is_idempotent_on_canonical_representatives():
-    f = pf("(61)(752)(75)(762)")
-    t = res_inv(f)
-    assert canonical_form(t, 4) == t
+        for t in svt_fillings(shape, 3):
+            preimages.setdefault(res(t, 3).factors, []).append(t)
+    assert len(preimages) == 1642
+    in_box = 0
+    for ts in preimages.values():
+        got = res_inv(res(ts[0], 3))
+        assert got.shape.rows <= min(t.shape.rows for t in ts)
+        if got.shape.rows <= 3 and got.shape.outer[0] <= 3:
+            in_box += 1
+            assert got == min(ts, key=lambda t: (t.shape.rows, t.shape.inner,
+                                                 t.shape.outer, t.rows))
+    assert in_box == 1150
