@@ -92,7 +92,8 @@ def word_to_json(w: HeckeWord) -> dict[str, Any]:
 
 
 def word_from_json(data: dict[str, Any]) -> HeckeWord:
-    return HeckeWord(tuple(data["letters"]), int(data["n"]))
+    _json_fields(data, "word", "letters", "n")
+    return HeckeWord(_json_ints(data["letters"], '"letters"'), _json_int(data["n"], '"n"'))
 
 
 def factorization_to_json(f: DecreasingFactorization) -> dict[str, Any]:
@@ -100,7 +101,12 @@ def factorization_to_json(f: DecreasingFactorization) -> dict[str, Any]:
 
 
 def factorization_from_json(data: dict[str, Any]) -> DecreasingFactorization:
-    return DecreasingFactorization(tuple(tuple(b) for b in data["factors"]), int(data["n"]))
+    _json_fields(data, "factorization", "factors", "n")
+    factors = data["factors"]
+    if not isinstance(factors, list):
+        raise ValidationError(f'"factors" must be a list of blocks, got {factors!r}')
+    return DecreasingFactorization(tuple(_json_ints(b, "a block") for b in factors),
+                                   _json_int(data["n"], '"n"'))
 
 
 def filling_to_json(t: SetValuedFilling) -> dict[str, Any]:
@@ -114,18 +120,28 @@ def filling_to_json(t: SetValuedFilling) -> dict[str, Any]:
 
 def filling_from_json(data: dict[str, Any],
                       cls: type = SkewSetValuedTableau) -> SetValuedFilling:
-    if not isinstance(data, dict):
-        raise ValidationError(f"tableau JSON must be an object, got {data!r}")
+    _json_fields(data, "tableau", "outer", "rows")
     if data.get("notation", "french") != "french":
         raise ValidationError("only French notation is supported")
-    if "outer" not in data or "rows" not in data:
-        raise ValidationError('tableau JSON needs "outer" and "rows"')
     rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValidationError(f'"rows" must be a list of rows, got {rows!r}')
     shape = SkewShape(_json_ints(data["outer"], '"outer"'),
                       _json_ints(data.get("inner", []), '"inner"'))
     return cls(shape, tuple(tuple(_json_ints(cell, "a cell") for cell in row) for row in rows))
+
+
+def _json_fields(data: Any, what: str, *keys: str) -> None:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} JSON must be an object, got {data!r}")
+    if any(key not in data for key in keys):
+        raise ValidationError(f"{what} JSON needs " + " and ".join(f'"{key}"' for key in keys))
+
+
+def _json_int(value: Any, what: str) -> int:
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _json_ints(value: Any, what: str) -> tuple[int, ...]:
@@ -144,21 +160,12 @@ def tableau_to_json(t: Tableau) -> dict[str, Any]:
 
 
 def tableau_from_json(data: dict[str, Any], cls: type = Tableau) -> Tableau:
-    if data.get("notation", "french") != "french":
-        raise ValidationError("only French notation is supported")
-    shape = SkewShape(tuple(data["outer"]), tuple(data.get("inner", ())))
-    rows = []
-    for row in data["rows"]:
-        cells = []
-        for cell in row:
-            if isinstance(cell, list):
-                if len(cell) != 1:
-                    raise ValidationError("single-valued tableau expects singleton cells")
-                cells.append(int(cell[0]))
-            else:
-                cells.append(int(cell))
-        rows.append(tuple(cells))
-    return cls(shape, tuple(rows))
+    """Read the tableau JSON of :func:`tableau_to_json`: the checks of
+    :func:`filling_from_json`, then one letter per cell."""
+    t = filling_from_json(data, SetValuedFilling)
+    if any(len(cell) != 1 for row in t.rows for cell in row):
+        raise ValidationError("single-valued tableau expects singleton cells")
+    return cls(t.shape, tuple(tuple(cell[0] for cell in row) for row in t.rows))
 
 
 def loads(text: str) -> dict[str, Any]:

@@ -55,12 +55,6 @@ class ColoredDigraph:
             out.append(comp)
         return out
 
-    def sources(self, comp: Iterable[Hashable]) -> list[Hashable]:
-        """Nodes of the component with no incoming edge (highest weight)."""
-        comp = set(comp)
-        with_in = {b for _, _, b in self.edges if b in comp}
-        return sorted((u for u in comp if u not in with_in), key=str)
-
     def sinks(self, comp: Iterable[Hashable]) -> list[Hashable]:
         comp = set(comp)
         with_out = {a for a, _, _ in self.edges if a in comp}

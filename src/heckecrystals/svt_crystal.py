@@ -23,6 +23,7 @@ from .tableaux import (
     SetValuedFilling,
     SkewSetValuedTableau,
     Tableau,
+    from_cells,
     weight_of,
 )
 
@@ -40,8 +41,7 @@ class Signature:
 
 
 def _column_letters(t: SetValuedFilling) -> list[set[int]]:
-    width = max((t.shape.outer_at(i) for i in range(1, t.shape.rows + 1)), default=0)
-    cols: list[set[int]] = [set() for _ in range(width + 1)]
+    cols: list[set[int]] = [set() for _ in range(max(t.shape.outer, default=0) + 1)]
     for _, j, cell in t.cells():
         cols[j].update(cell)
     return cols
@@ -73,19 +73,19 @@ def signature(t: SetValuedFilling, i: int) -> Signature:
     return Signature(tuple(signs), tuple(minus), tuple(plus_stack))
 
 
-def _find_cell_with(t: SetValuedFilling, column: int, letter: int) -> tuple[int, int]:
+def _find_cell_with(t: SetValuedFilling, column: int,
+                    letter: int) -> tuple[int, int, tuple[int, ...]]:
     for r, c, cell in t.cells():
         if c == column and letter in cell:
-            return r, c
+            return r, c, cell
     raise AssertionError(f"no cell with {letter} in column {column}")
 
 
 def _replace_cells(t: SetValuedFilling,
                    changes: dict[tuple[int, int], tuple[int, ...]]) -> SetValuedFilling:
-    rows = [list(row) for row in t.rows]
-    for (r, c), new in changes.items():
-        rows[r - 1][c - 1 - t.shape.inner_at(r)] = tuple(sorted(new))
-    return type(t)(t.shape, tuple(tuple(row) for row in rows))
+    cells = {(r, c): cell for r, c, cell in t.cells()}
+    cells.update((rc, tuple(sorted(new))) for rc, new in changes.items())
+    return from_cells(t.shape, cells, type(t))
 
 
 def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
@@ -93,14 +93,12 @@ def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     if not sig.unpaired_minus:
         return None
     col = sig.unpaired_minus[-1]
-    r, c = _find_cell_with(t, col, i)
-    b = t.cell(r, c)
-    right = (r, c + 1)
-    if (right in t.shape
-            and not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
-            and i in t.cell(*right) and i + 1 in t.cell(*right)):
-        moved = tuple(v for v in t.cell(*right) if v != i)
-        return _replace_cells(t, {(r, c): b + (i + 1,), right: moved})
+    r, c, b = _find_cell_with(t, col, i)
+    right = t.cell(r, c + 1) if (r, c + 1) in t.shape else ()
+    if (not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
+            and i in right and i + 1 in right):
+        moved = tuple(v for v in right if v != i)
+        return _replace_cells(t, {(r, c): b + (i + 1,), (r, c + 1): moved})
     return _replace_cells(t, {(r, c): tuple(v for v in b if v != i) + (i + 1,)})
 
 
@@ -109,12 +107,11 @@ def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     if not sig.unpaired_plus:
         return None
     col = sig.unpaired_plus[0]
-    r, c = _find_cell_with(t, col, i + 1)
-    b = t.cell(r, c)
-    left = (r, c - 1)
-    if left in t.shape and i in t.cell(*left) and i + 1 in t.cell(*left):
-        moved = tuple(v for v in t.cell(*left) if v != i + 1)
-        return _replace_cells(t, {(r, c): b + (i,), left: moved})
+    r, c, b = _find_cell_with(t, col, i + 1)
+    left = t.cell(r, c - 1) if (r, c - 1) in t.shape else ()
+    if i in left and i + 1 in left:
+        moved = tuple(v for v in left if v != i + 1)
+        return _replace_cells(t, {(r, c): b + (i,), (r, c - 1): moved})
     return _replace_cells(t, {(r, c): tuple(v for v in b if v != i + 1) + (i,)})
 
 

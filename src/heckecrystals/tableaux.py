@@ -7,12 +7,29 @@ hashing and equality are deterministic.  The recording filling of Hecke
 insertion may repeat a label inside a cell, so the base class permits
 duplicates; :class:`SkewSetValuedTableau` rejects them along with the
 other semistandardness conditions.
+
+There is one row geometry, and this module is the only one that knows it:
+``rows[i - 1]`` holds row ``i`` from left to right, its first cell in
+column ``inner_i + 1``.  Fillings walk their own rows (``cells``, and the
+neighbour walk behind validation); :func:`from_cells` is the one map from
+a cell dictionary to ``rows``.  Code elsewhere reads cells through these
+and never computes an index into ``rows`` itself.
+
+Every constructor validates, with one walk over the rows that meets each
+cell together with its right and upper neighbours; each tableau class
+states only whether rows and columns increase weakly or strictly.
+Validation stays in the constructors instead of moving to the input
+boundary: operators, insertion and uncrowding build their results through
+the same constructors, so a broken operator fails where it builds a bad
+tableau.  A trusted constructor would be a second construction path, and
+it would let exactly the faults that the mutation tests inject pass
+unseen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, ClassVar, Iterator, Mapping
 
 from .errors import ValidationError
 from .hecke import HeckeWord
@@ -52,23 +69,22 @@ class SkewShape:
         _check_partition(self.inner, "inner shape")
         if len(self.inner) > len(self.outer):
             raise ValidationError("inner shape has more rows than outer shape")
-        if any(self.inner_at(i) > self.outer[i - 1] for i in range(1, len(self.outer) + 1)):
+        if any(a > b for a, b in zip(self.inner, self.outer)):
             raise ValidationError(f"inner shape {self.inner} not contained in {self.outer}")
 
     @property
     def rows(self) -> int:
         return len(self.outer)
 
-    def outer_at(self, i: int) -> int:
-        return self.outer[i - 1] if 1 <= i <= len(self.outer) else 0
-
-    def inner_at(self, i: int) -> int:
-        return self.inner[i - 1] if 1 <= i <= len(self.inner) else 0
+    def offsets(self) -> tuple[int, ...]:
+        """Per row, the number of inner cells left of it: ``inner`` padded
+        with zeros to the length of ``outer``."""
+        return self.inner + (0,) * (len(self.outer) - len(self.inner))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All (row, column) cells, bottom row first and left to right."""
-        for i in range(1, self.rows + 1):
-            for j in range(self.inner_at(i) + 1, self.outer_at(i) + 1):
+        for i, (a, b) in enumerate(zip(self.offsets(), self.outer), start=1):
+            for j in range(a + 1, b + 1):
                 yield (i, j)
 
     def size(self) -> int:
@@ -80,7 +96,8 @@ class SkewShape:
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
         i, j = cell
-        return 1 <= i <= self.rows and self.inner_at(i) < j <= self.outer_at(i)
+        return (0 < i <= len(self.outer)
+                and (self.inner[i - 1] if i <= len(self.inner) else 0) < j <= self.outer[i - 1])
 
     def __str__(self) -> str:
         outer = ",".join(str(p) for p in self.outer)
@@ -88,186 +105,184 @@ class SkewShape:
         return f"{outer}/{inner}" if self.inner else outer
 
 
-@dataclass(frozen=True)
-class SetValuedFilling:
+@dataclass(frozen=True, eq=False)
+class _Filling:
+    """Cells on a skew shape, stored row by row: ``rows[i - 1]`` holds row
+    ``i`` from left to right, its first cell in column ``inner_i + 1``.
+
+    The constructor checks the row lengths, then each row's cells
+    (:meth:`_row_problem`), then the order conditions between cells
+    (:meth:`_violation`), and raises on the first failure.
+    """
+
+    shape: SkewShape
+    rows: tuple
+
+    def __post_init__(self) -> None:
+        sh = self.shape
+        if len(self.rows) != sh.rows:
+            raise ValidationError(f"expected {sh.rows} rows, got {len(self.rows)}")
+        for i, (row, a, b) in enumerate(zip(self.rows, sh.offsets(), sh.outer), start=1):
+            problem = (f"row {i} has {len(row)} cells, shape wants {b - a}"
+                       if len(row) != b - a else self._row_problem(i, row))
+            if problem is not None:
+                raise ValidationError(problem)
+        problem = self._violation()
+        if problem is not None:
+            raise ValidationError(problem)
+
+    def _row_problem(self, i: int, row: tuple) -> str | None:
+        raise NotImplementedError
+
+    def _letters(self) -> Iterator[int]:
+        raise NotImplementedError
+
+    def _violation(self) -> str | None:
+        return None
+
+    def cell(self, i: int, j: int):
+        inner = self.shape.inner
+        row = self.rows[i - 1] if 0 < i <= len(self.rows) else ()
+        k = j - 1 - (inner[i - 1] if i <= len(inner) else 0)
+        if not 0 <= k < len(row):
+            raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
+        return row[k]
+
+    def cells(self) -> Iterator[tuple[int, int, Any]]:
+        """``(i, j, cell)`` for every cell, bottom row first and left to right."""
+        for i, (row, a) in enumerate(zip(self.rows, self.shape.offsets()), start=1):
+            for j, cell in enumerate(row, start=a + 1):
+                yield i, j, cell
+
+    def max_entry(self) -> int:
+        return max(self._letters(), default=0)
+
+    def __eq__(self, other: object) -> bool:
+        # a set-valued filling never equals a single-valued tableau
+        if not isinstance(other, _Filling) or isinstance(other, Tableau) != isinstance(self, Tableau):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rows))
+
+    def __str__(self) -> str:
+        return pretty(self)
+
+
+def _neighbours(t: _Filling) -> Iterator[tuple[int, int, Any, Any, Any]]:
+    """``(i, j, cell, right, up)`` for every cell of ``t`` in the order of
+    :meth:`_Filling.cells`, where ``right`` and ``up`` are the cells at
+    ``(i, j + 1)`` and ``(i + 1, j)``, or None outside the shape."""
+    rows, offsets = t.rows, t.shape.offsets()
+    top = len(rows) - 1
+    for i, row in enumerate(rows):
+        a, last = offsets[i], len(row) - 1
+        up, shift = (rows[i + 1], a - offsets[i + 1]) if i < top else ((), 0)
+        for k, cell in enumerate(row):
+            u = k + shift
+            yield (i + 1, a + k + 1, cell, row[k + 1] if k < last else None,
+                   up[u] if 0 <= u < len(up) else None)
+
+
+class SetValuedFilling(_Filling):
     """A skew shape with a nonempty ascending tuple of labels per cell.
 
     Labels may repeat inside a cell (needed for Hecke recording
     fillings); no order conditions between cells are imposed here.
     """
 
-    shape: SkewShape
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    def _row_problem(self, i: int, row: tuple) -> str | None:
+        for cell in row:
+            if not cell:
+                return f"empty cell in row {i}"
+            if any(a > b for a, b in zip(cell, cell[1:])):
+                return f"cell {cell} in row {i} is not ascending"
+            if cell[0] < 1:
+                return f"cell {cell} in row {i} has entries < 1"
+        return None
 
-    def __post_init__(self) -> None:
-        sh = self.shape
-        if len(self.rows) != sh.rows:
-            raise ValidationError(f"expected {sh.rows} rows, got {len(self.rows)}")
-        for i in range(1, sh.rows + 1):
-            row = self.rows[i - 1]
-            if len(row) != sh.outer_at(i) - sh.inner_at(i):
-                raise ValidationError(f"row {i} has {len(row)} cells, shape wants "
-                                      f"{sh.outer_at(i) - sh.inner_at(i)}")
-            for cell in row:
-                if not cell:
-                    raise ValidationError(f"empty cell in row {i}")
-                if any(cell[k] > cell[k + 1] for k in range(len(cell) - 1)):
-                    raise ValidationError(f"cell {cell} in row {i} is not ascending")
-                if any(v < 1 for v in cell):
-                    raise ValidationError(f"cell {cell} in row {i} has entries < 1")
-
-    def cell(self, i: int, j: int) -> tuple[int, ...]:
-        if (i, j) not in self.shape:
-            raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
-        return self.rows[i - 1][j - 1 - self.shape.inner_at(i)]
-
-    def cells(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        for i, j in self.shape.cells():
-            yield i, j, self.cell(i, j)
-
-    def max_entry(self) -> int:
-        return max((v for _, _, c in self.cells() for v in c), default=0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetValuedFilling):
-            return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
-    def __str__(self) -> str:
-        return pretty(self)
+    def _letters(self) -> Iterator[int]:
+        return (v for row in self.rows for cell in row for v in cell)
 
 
 class SkewSetValuedTableau(SetValuedFilling):
     """Semistandard set-valued tableau: duplicate-free cells, weak rows
     (max of a cell <= min of its right neighbor), strict columns."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        problem = svt_violation(self)
-        if problem is not None:
-            raise ValidationError(problem)
+    def _violation(self) -> str | None:
+        return svt_violation(self)
 
 
 def svt_violation(t: SetValuedFilling) -> str | None:
     """First semistandardness violation of ``t``, or None if valid."""
-    sh = t.shape
-    for i, j, cell in t.cells():
+    for i, j, cell, right, up in _neighbours(t):
         if len(set(cell)) != len(cell):
             return f"cell ({i},{j}) repeats an entry: {cell}"
-        if (i, j + 1) in sh and max(cell) > min(t.cell(i, j + 1)):
+        if right is not None and cell[-1] > right[0]:
             return (f"row condition fails between ({i},{j}) and ({i},{j + 1}): "
-                    f"max{cell} > min{t.cell(i, j + 1)}")
-        if (i + 1, j) in sh and max(cell) >= min(t.cell(i + 1, j)):
+                    f"max{cell} > min{right}")
+        if up is not None and cell[-1] >= up[0]:
             return (f"column condition fails between ({i},{j}) and ({i + 1},{j}): "
-                    f"max{cell} >= min{t.cell(i + 1, j)}")
+                    f"max{cell} >= min{up}")
     return None
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A skew shape with a single positive integer per cell."""
+class Tableau(_Filling):
+    """A skew shape with a single positive integer per cell.
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    Subclasses order their cells through ``row_strict`` and
+    ``col_strict``: None imposes nothing, False asks each cell to be at
+    most its right (upper) neighbour, True strictly less.
+    """
 
-    def __post_init__(self) -> None:
-        sh = self.shape
-        if len(self.rows) != sh.rows:
-            raise ValidationError(f"expected {sh.rows} rows, got {len(self.rows)}")
-        for i in range(1, sh.rows + 1):
-            if len(self.rows[i - 1]) != sh.outer_at(i) - sh.inner_at(i):
-                raise ValidationError(f"row {i} has the wrong number of cells")
-            if any(v < 1 for v in self.rows[i - 1]):
-                raise ValidationError(f"row {i} has entries < 1")
+    row_strict: ClassVar[bool | None] = None
+    col_strict: ClassVar[bool | None] = None
 
-    def cell(self, i: int, j: int) -> int:
-        if (i, j) not in self.shape:
-            raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
-        return self.rows[i - 1][j - 1 - self.shape.inner_at(i)]
+    def _row_problem(self, i: int, row: tuple) -> str | None:
+        return f"row {i} has entries < 1" if row and min(row) < 1 else None
 
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        for i, j in self.shape.cells():
-            yield i, j, self.cell(i, j)
+    def _letters(self) -> Iterator[int]:
+        return (v for row in self.rows for v in row)
 
-    def max_entry(self) -> int:
-        return max((v for _, _, v in self.cells()), default=0)
+    def _violation(self) -> str | None:
+        """The first row violation, else the first column violation."""
+        rs, cs = self.row_strict, self.col_strict
+        if rs is None and cs is None:
+            return None
+        column = None
+        for i, j, v, right, up in _neighbours(self):
+            if rs is not None and right is not None and (v >= right if rs else v > right):
+                return (f"row {i} is not strictly increasing at column {j}" if rs
+                        else f"row {i} decreases at column {j}")
+            if column is None and cs is not None and up is not None and (
+                    v >= up if cs else v > up):
+                column = (f"column {j} is not strictly increasing at row {i}" if cs
+                          else f"column {j} decreases at row {i}")
+        return column
 
     def as_set_valued(self) -> SetValuedFilling:
         rows = tuple(tuple((v,) for v in row) for row in self.rows)
         return SetValuedFilling(self.shape, rows)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
-    def __str__(self) -> str:
-        return pretty(self)
-
-
-def _rows_weakly_increase(t: Tableau) -> str | None:
-    for i, j, v in t.cells():
-        if (i, j + 1) in t.shape and v > t.cell(i, j + 1):
-            return f"row {i} decreases at column {j}"
-    return None
-
-
-def _rows_strictly_increase(t: Tableau) -> str | None:
-    for i, j, v in t.cells():
-        if (i, j + 1) in t.shape and v >= t.cell(i, j + 1):
-            return f"row {i} is not strictly increasing at column {j}"
-    return None
-
-
-def _cols_weakly_increase(t: Tableau) -> str | None:
-    for i, j, v in t.cells():
-        if (i + 1, j) in t.shape and v > t.cell(i + 1, j):
-            return f"column {j} decreases at row {i}"
-    return None
-
-
-def _cols_strictly_increase(t: Tableau) -> str | None:
-    for i, j, v in t.cells():
-        if (i + 1, j) in t.shape and v >= t.cell(i + 1, j):
-            return f"column {j} is not strictly increasing at row {i}"
-    return None
-
 
 class SemistandardTableau(Tableau):
     """Rows weakly increase, columns strictly increase."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        problem = _rows_weakly_increase(self) or _cols_strictly_increase(self)
-        if problem is not None:
-            raise ValidationError(problem)
+    row_strict, col_strict = False, True
 
 
 class RowIncreasingTableau(Tableau):
     """Rows strictly increase, columns weakly increase (transpose is
     semistandard)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        problem = _rows_strictly_increase(self) or _cols_weakly_increase(self)
-        if problem is not None:
-            raise ValidationError(problem)
+    row_strict, col_strict = True, False
 
 
 class IncreasingTableau(Tableau):
     """Rows and columns strictly increase."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        problem = _rows_strictly_increase(self) or _cols_strictly_increase(self)
-        if problem is not None:
-            raise ValidationError(problem)
+    row_strict, col_strict = True, True
 
 
 class FlaggedIncreasingTableau(Tableau):
@@ -275,16 +290,14 @@ class FlaggedIncreasingTableau(Tableau):
     ``i - 1``; here outer and inner shapes share the first part, so the
     bottom row carries no cells."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.shape.outer and self.shape.outer_at(1) != self.shape.inner_at(1):
-            raise ValidationError("flagged tableau must have an empty bottom row")
-        problem = _rows_strictly_increase(self) or _cols_strictly_increase(self)
-        if problem is not None:
-            raise ValidationError(problem)
-        for i, j, v in self.cells():
-            if v > i - 1:
-                raise ValidationError(f"entry {v} in row {i} exceeds the flag {i - 1}")
+    row_strict, col_strict = True, True
+
+    def _violation(self) -> str | None:
+        if self.rows and self.rows[0]:
+            return "flagged tableau must have an empty bottom row"
+        return super()._violation() or next(
+            (f"entry {v} in row {i} exceeds the flag {i - 1}"
+             for i, row in enumerate(self.rows, start=1) for v in row if v > i - 1), None)
 
 
 def validate(obj: SetValuedFilling | Tableau) -> str | None:
@@ -299,19 +312,15 @@ def validate(obj: SetValuedFilling | Tableau) -> str | None:
 
 def weight_of(t: SetValuedFilling | Tableau) -> tuple[int, ...]:
     """Multiplicity vector of the letters ``1..max``."""
-    if isinstance(t, Tableau):
-        entries = [v for _, _, v in t.cells()]
-    else:
-        entries = [v for _, _, c in t.cells() for v in c]
-    top = max(entries, default=0)
-    counts = [0] * top
+    entries = list(t._letters())
+    counts = [0] * max(entries, default=0)
     for v in entries:
         counts[v - 1] += 1
     return tuple(counts)
 
 
 def excess_of(t: SetValuedFilling) -> int:
-    return sum(len(c) for _, _, c in t.cells()) - t.shape.size()
+    return sum(len(c) for row in t.rows for c in row) - t.shape.size()
 
 
 def row_word(p: Tableau, n: int | None = None) -> HeckeWord:
@@ -324,45 +333,28 @@ def row_word(p: Tableau, n: int | None = None) -> HeckeWord:
 
 def pretty(t: SetValuedFilling | Tableau) -> str:
     """Diagram layout with the top row first and inner cells dotted."""
-    sh = t.shape
 
-    def text(i: int, j: int) -> str:
-        if (i, j) not in sh:
-            return "." if j <= sh.inner_at(i) and j <= sh.outer_at(i) else ""
-        v = t.cell(i, j)
+    def text(v: int | tuple[int, ...]) -> str:
         if isinstance(v, tuple):
             return "".join(map(str, v)) if all(x <= 9 for x in v) else ",".join(map(str, v))
         return str(v)
 
-    width = max(sh.outer_at(i) for i in range(1, sh.rows + 1)) if sh.rows else 0
-    grid = [[text(i, j) for j in range(1, width + 1)] for i in range(sh.rows, 0, -1)]
+    width = max(t.shape.outer, default=0)
+    grid = [["."] * a + [text(v) for v in row] + [""] * (width - a - len(row))
+            for row, a in reversed(list(zip(t.rows, t.shape.offsets())))]
     colw = [max((len(row[c]) for row in grid), default=1) for c in range(width)]
     lines = [" ".join(row[c].ljust(colw[c]) for c in range(width)).rstrip() for row in grid]
     return "\n".join(line for line in lines if line) or "(empty)"
 
 
-def from_cells(shape: SkewShape, cells: dict[tuple[int, int], Iterable[int]],
-               cls: type = SkewSetValuedTableau) -> SetValuedFilling:
-    """Assemble a set-valued filling from a cell dictionary."""
-    rows = []
-    for i in range(1, shape.rows + 1):
-        row = []
-        for j in range(shape.inner_at(i) + 1, shape.outer_at(i) + 1):
-            if (i, j) not in cells:
-                raise ValidationError(f"missing cell ({i}, {j})")
-            row.append(tuple(sorted(cells[(i, j)])))
-        rows.append(tuple(row))
-    return cls(shape, tuple(rows))
-
-
-def tableau_from_cells(shape: SkewShape, cells: dict[tuple[int, int], int],
-                       cls: type = Tableau) -> Tableau:
-    rows = []
-    for i in range(1, shape.rows + 1):
-        row = []
-        for j in range(shape.inner_at(i) + 1, shape.outer_at(i) + 1):
-            if (i, j) not in cells:
-                raise ValidationError(f"missing cell ({i}, {j})")
-            row.append(cells[(i, j)])
-        rows.append(tuple(row))
-    return cls(shape, tuple(rows))
+def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
+               cls: type = SkewSetValuedTableau) -> SetValuedFilling | Tableau:
+    """The filling of class ``cls`` on ``shape`` whose cell ``(i, j)`` holds
+    ``cells[(i, j)]`` (an ascending tuple for set-valued classes, an int
+    for single-valued ones); the one map from cells to rows."""
+    try:
+        rows = tuple(tuple(cells[(i, j)] for j in range(a + 1, b + 1))
+                     for i, (a, b) in enumerate(zip(shape.offsets(), shape.outer), start=1))
+    except KeyError as exc:
+        raise ValidationError(f"missing cell {exc.args[0]}") from None
+    return cls(shape, rows)

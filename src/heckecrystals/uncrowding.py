@@ -24,18 +24,16 @@ from .tableaux import (
     SetValuedFilling,
     SkewSetValuedTableau,
     SkewShape,
-    tableau_from_cells,
+    Tableau,
+    from_cells,
 )
 
 __all__ = ["uncrowd_step", "uncrowd", "t_mu", "star_tilde"]
 
 
 def _topmost_multicell_row(t: SetValuedFilling) -> int | None:
-    found = None
-    for i, _, cell in t.cells():
-        if len(cell) > 1:
-            found = i if found is None else max(found, i)
-    return found
+    return max((i for i, row in enumerate(t.rows, start=1) if any(len(c) > 1 for c in row)),
+               default=None)
 
 
 def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[int, int], int]:
@@ -44,46 +42,32 @@ def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[i
     r = _topmost_multicell_row(t)
     if r is None:
         raise ValidationError("tableau has no multicell")
-    sh = t.shape
-    row_cells = {(i, j): list(cell) for i, j, cell in t.cells()}
-    x, source = max(
-        (cell[-1], (r, j)) for (i, j), cell in row_cells.items()
-        if i == r and len(cell) > 1
-    )
-    row_cells[source].remove(x)
+    rows = [[list(cell) for cell in row] for row in t.rows]
+    outer = list(t.shape.outer)
+    x, k = max((cell[-1], k) for k, cell in enumerate(rows[r - 1]) if len(cell) > 1)
+    rows[r - 1][k].remove(x)
 
-    outer = list(sh.outer)
-    inner = list(sh.inner) + [0] * (len(sh.outer) - len(sh.inner))
+    # Bump x up through the rows above r; a bump stays inside its row, so
+    # the letter that finds no larger entry ends its row (or opens a new one).
     i = r + 1
-    while True:
-        if i > len(outer):
-            outer.append(1)
-            inner.append(0)
-            row_cells[(i, 1)] = [x]
-            added = (i, 1)
+    while i <= len(rows):
+        cell = next((cell for cell in rows[i - 1] if min(cell) > x), None)
+        if cell is None:
             break
-        row = [(j, row_cells[(i, j)]) for j in range(inner[i - 1] + 1, outer[i - 1] + 1)]
-        target = next(((j, cell) for j, cell in row if min(cell) > x), None)
-        if target is None:
-            j = outer[i - 1] + 1
-            outer[i - 1] = j
-            row_cells[(i, j)] = [x]
-            added = (i, j)
-            break
-        j, cell = target
         y = min(cell)
         cell.remove(y)
         cell.append(x)
         x = y
         i += 1
+    if i > len(rows):
+        rows.append([])
+        outer.append(0)
+    rows[i - 1].append([x])
+    outer[i - 1] += 1
 
-    shape = SkewShape(tuple(outer), tuple(p for p in inner if p) or ())
-    rows = tuple(
-        tuple(tuple(sorted(row_cells[(i2, j2)]))
-              for j2 in range(shape.inner_at(i2) + 1, shape.outer_at(i2) + 1))
-        for i2 in range(1, shape.rows + 1)
-    )
-    return SkewSetValuedTableau(shape, rows), added, r
+    shape = SkewShape(tuple(outer), t.shape.inner)
+    new_rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in rows)
+    return SkewSetValuedTableau(shape, new_rows), (i, outer[i - 1]), r
 
 
 def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncreasingTableau]:
@@ -97,7 +81,7 @@ def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncrea
     p_rows = tuple(tuple(cell[0] for cell in row) for row in cur.rows)
     p = SemistandardTableau(cur.shape, p_rows)
     q_shape = SkewShape(cur.shape.outer, t.shape.outer)
-    q = tableau_from_cells(q_shape, recording, FlaggedIncreasingTableau)
+    q = from_cells(q_shape, recording, FlaggedIncreasingTableau)
     return p, q
 
 
@@ -147,10 +131,7 @@ def star_tilde(f: DecreasingFactorization, trace: bool = False) -> InsertionResu
                 raise ValidationError(
                     f"recording tableau does not contain the minimal filling at ({i},{j})")
     skew = SkewShape(outer, mu)
-    q_rows = tuple(
-        tuple(q_star.cell(i, j) - lm for j in range(skew.inner_at(i) + 1, skew.outer_at(i) + 1))
-        for i in range(1, skew.rows + 1)
-    )
-    q = SemistandardTableau(skew, q_rows)
-    p = tableau_from_cells(skew, {(i, j): p_star.cell(i, j) for i, j in skew.cells()})
+    q = from_cells(skew, {(i, j): v - lm for i, j, v in q_star.cells() if (i, j) in skew},
+                   SemistandardTableau)
+    p = from_cells(skew, {(i, j): v for i, j, v in p_star.cells() if (i, j) in skew}, Tableau)
     return InsertionResult(p, q, result.trace)

@@ -108,6 +108,17 @@ def test_malformed_tableau_json_is_invalid_input(capsys, monkeypatch, command, p
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    '{"factors": 5, "n": 3}',                # factors not a list
+    '{"factors": [[1]]}',                    # no n
+    '{"factors": [["a"]], "n": 3}',          # a letter that is not an integer
+    '{"factors": [[1.5]], "n": 3}',          # a letter that is a float
+])
+def test_malformed_factorization_json_is_invalid_input(capsys, monkeypatch, payload):
+    code, _ = run(capsys, "insert", "--algo", "star", stdin=payload, monkeypatch=monkeypatch)
+    assert code == 2
+
+
 def test_graph_star_without_seed_is_invalid_input(capsys):
     code, _ = run(capsys, "graph", "--crystal", "star")
     assert code == 2

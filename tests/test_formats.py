@@ -80,6 +80,19 @@ def test_tableau_json_round_trip():
     assert back == t
 
 
+@pytest.mark.parametrize("reader, data", [
+    (formats.word_from_json, {"letters": [1, "2"], "n": 3}),
+    (formats.word_from_json, {"letters": [1]}),
+    (formats.factorization_from_json, {"factors": [[1]], "n": 3.0}),
+    (formats.tableau_from_json, [1]),
+    (formats.tableau_from_json, {"outer": [1], "rows": [[1]]}),
+    (formats.tableau_from_json, {"outer": [1], "rows": [[[1, 2]]]}),
+])
+def test_json_readers_reject_malformed_input(reader, data):
+    with pytest.raises(ValidationError):
+        reader(data)
+
+
 def test_pretty_layout_puts_top_row_first():
     t = SkewSetValuedTableau(SkewShape((2, 2), (1,)), (((1, 2),), ((2, 3), (3,))))
     assert pretty(t).splitlines() == ["23 3", ".  12"]

@@ -3,6 +3,8 @@ import pytest
 from heckecrystals.errors import ValidationError
 from heckecrystals.grothendieck import ssyt_fillings
 from heckecrystals.tableaux import (
+    FlaggedIncreasingTableau,
+    IncreasingTableau,
     RowIncreasingTableau,
     SemistandardTableau,
     SetValuedFilling,
@@ -58,6 +60,42 @@ def test_duplicate_entries_rejected_for_svt_but_kept_for_fillings():
 def test_row_increasing_rejects_weak_rows():
     with pytest.raises(ValidationError):
         RowIncreasingTableau(SkewShape((2, 2), ()), ((1, 1), (2, 2)))
+
+
+# The CLI prints the first violation as ``error: <message>``.  Several cases
+# break more than one condition, which pins the order the conditions are
+# checked in: rows before columns for single-valued tableaux, the bottom row
+# before the order for flagged ones, and cell by cell for set-valued ones.
+@pytest.mark.parametrize("cls, outer, inner, rows, message", [
+    (SemistandardTableau, (2, 2), (), ((1, 2), (1, 3)),
+     "column 1 is not strictly increasing at row 1"),
+    (SemistandardTableau, (2, 2), (), ((2, 1), (1, 3)),
+     "row 1 decreases at column 1"),
+    (RowIncreasingTableau, (2, 2), (), ((1, 1), (2, 2)),
+     "row 1 is not strictly increasing at column 1"),
+    (RowIncreasingTableau, (2, 2), (), ((2, 3), (1, 4)),
+     "column 1 decreases at row 1"),
+    (IncreasingTableau, (2, 2), (), ((1, 2), (1, 3)),
+     "column 1 is not strictly increasing at row 1"),
+    (IncreasingTableau, (2, 2), (), ((1, 2), (1, 1)),
+     "row 2 is not strictly increasing at column 1"),
+    (FlaggedIncreasingTableau, (2, 2), (2,), ((), (1, 2)),
+     "entry 2 in row 2 exceeds the flag 1"),
+    (FlaggedIncreasingTableau, (2,), (), ((2, 1),),
+     "flagged tableau must have an empty bottom row"),
+    (SkewSetValuedTableau, (1,), (), (((2, 2),),),
+     "cell (1,1) repeats an entry: (2, 2)"),
+    (SkewSetValuedTableau, (2,), (), (((2, 3), (1,)),),
+     "row condition fails between (1,1) and (1,2): max(2, 3) > min(1,)"),
+    (SkewSetValuedTableau, (1, 1), (), (((2,),), ((2,),)),
+     "column condition fails between (1,1) and (2,1): max(2,) >= min(2,)"),
+    (SkewSetValuedTableau, (2, 2), (), (((1,), (1,)), ((1,), (2,))),
+     "column condition fails between (1,1) and (2,1): max(1,) >= min(1,)"),
+])
+def test_first_violation_message(cls, outer, inner, rows, message):
+    with pytest.raises(ValidationError) as exc:
+        cls(SkewShape(outer, inner), rows)
+    assert str(exc.value) == message
 
 
 def test_recording_filling_example_is_valid_svt():
