@@ -11,8 +11,7 @@ API the rest of the package uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import ValidationError
 from .hecke import HeckeElement, HeckeWord, demazure_apply, eval_word, identity
@@ -52,9 +51,13 @@ class DecreasingFactorization:
             raise ValidationError(f"factor index {i} outside [1, {self.m}]")
         return self.factors[self.m - i]
 
-    def replace_factor(self, i: int, letters: tuple[int, ...]) -> "DecreasingFactorization":
+    def replace_factors(self, blocks: Mapping[int, tuple[int, ...]]
+                        ) -> "DecreasingFactorization":
+        """The factorization with block ``i`` (counted from the right)
+        replaced by ``blocks[i]`` for every key ``i``."""
         fs = list(self.factors)
-        fs[self.m - i] = letters
+        for i, letters in blocks.items():
+            fs[self.m - i] = letters
         return DecreasingFactorization(tuple(fs), self.n)
 
     def flatten(self) -> HeckeWord:
@@ -172,6 +175,9 @@ def enumerate_factorizations(
     Blocks are chosen left to right with two prunes: the running Demazure
     prefix must still be able to reach ``w``, and the letter budget
     ``length(w) + max_excess`` must cover the letters still required.
+    The prefix carries its Coxeter length, which a Demazure step raises by
+    one exactly when it moves the permutation, and each (prefix, block)
+    step is computed once per call.
     """
     if m < 1 or max_excess < 0:
         raise ValidationError("need m >= 1 and max_excess >= 0")
@@ -181,45 +187,55 @@ def enumerate_factorizations(
     letters = tuple(range(1, n))
     blocks = _decreasing_blocks(letters, n - 1)
 
+    steps: dict[tuple[HeckeElement, int], tuple[HeckeElement, int]] = {}
+
+    def step(e: HeckeElement, length: int, k: int) -> tuple[HeckeElement, int]:
+        """The prefix ``e`` (of the given length) followed by ``blocks[k]``,
+        with its length."""
+        out = steps.get((e, k))
+        if out is None:
+            e2, len2 = e, length
+            for a in blocks[k]:
+                e3 = demazure_apply(e2, a)
+                if e3 != e2:
+                    e2, len2 = e3, len2 + 1
+            out = steps[(e, k)] = (e2, len2)
+        return out
+
     reach_memo: dict[HeckeElement, bool] = {}
 
-    def can_reach(e: HeckeElement) -> bool:
-        """Demazure-reachability of ``w`` from ``e``."""
-        cached = reach_memo.get(e)
-        if cached is not None:
-            return cached
-        if e == w:
-            reach_memo[e] = True
-            return True
-        if e.length() >= target_len:
-            reach_memo[e] = False
-            return False
-        ok = any(
-            (e2 := demazure_apply(e, i)) != e and can_reach(e2) for i in range(1, n)
-        )
-        reach_memo[e] = ok
+    def can_reach(e: HeckeElement, length: int) -> bool:
+        """Demazure-reachability of ``w`` from ``e`` (of the given length)."""
+        ok = reach_memo.get(e)
+        if ok is None:
+            if e == w:
+                ok = True
+            elif length >= target_len:
+                ok = False
+            else:
+                ok = any((e2 := demazure_apply(e, i)) != e and can_reach(e2, length + 1)
+                         for i in letters)
+            reach_memo[e] = ok
         return ok
 
     def rec(
-        pos: int, e: HeckeElement, used: int
+        pos: int, e: HeckeElement, length: int, used: int
     ) -> Iterator[tuple[tuple[int, ...], ...]]:
         if pos == m:
             if e == w:
                 yield ()
             return
-        for blk in blocks:
+        for k, blk in enumerate(blocks):
             used2 = used + len(blk)
             if used2 > budget:
                 continue
-            e2 = e
-            for a in blk:
-                e2 = demazure_apply(e2, a)
-            if used2 + target_len - e2.length() > budget:
+            e2, len2 = step(e, length, k)
+            if used2 + target_len - len2 > budget:
                 continue
-            if not can_reach(e2):
+            if not can_reach(e2, len2):
                 continue
-            for rest in rec(pos + 1, e2, used2):
+            for rest in rec(pos + 1, e2, len2, used2):
                 yield (blk,) + rest
 
-    for fs in rec(0, identity(n), 0):
+    for fs in rec(0, identity(n), 0, 0):
         yield DecreasingFactorization(fs, n)

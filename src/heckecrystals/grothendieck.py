@@ -86,7 +86,12 @@ def ssyt_fillings(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ..
     return [tuple(r) for r in rows(0, ())]
 
 
-@lru_cache(maxsize=None)
+# Far above the 53 shapes that ``verify --theorem all`` expands at the
+# default bounds, so that run never evicts; deeper bounds stay bounded.
+_SCHUR_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_SCHUR_CACHE_SIZE)
 def schur_poly(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Schur polynomial as a sorted tuple of (exponent, coefficient)."""
     poly: Poly = {}

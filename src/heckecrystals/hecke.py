@@ -93,7 +93,12 @@ def eval_word(w: HeckeWord) -> HeckeElement:
     return _eval_letters(w.letters, w.n)
 
 
-@lru_cache(maxsize=None)
+# Above the 62k words that ``verify --theorem all`` evaluates at the default
+# bounds (62,219), so that run never evicts; deeper bounds stay bounded.
+_EVAL_CACHE_SIZE = 1 << 17
+
+
+@lru_cache(maxsize=_EVAL_CACHE_SIZE)
 def _eval_letters(letters: tuple[int, ...], n: int) -> HeckeElement:
     e = identity(n)
     for a in letters:
@@ -102,17 +107,24 @@ def _eval_letters(letters: tuple[int, ...], n: int) -> HeckeElement:
 
 
 def is_fully_commutative(e: HeckeElement) -> bool:
-    """A permutation is fully commutative iff it avoids the pattern 321."""
+    """A permutation is fully commutative iff it avoids the pattern 321,
+    that is, iff no entry has a larger entry before it and a smaller one
+    after it: one pass against the prefix maxima and suffix minima."""
     p = e.perm
-    n = len(p)
-    # Cubic scan; fine for the ranks this library targets (n <= 12).
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p[i] <= p[j]:
-                continue
-            for k in range(j + 1, n):
-                if p[j] > p[k]:
-                    return False
+    suffix_min = []
+    low = len(p) + 1
+    for v in reversed(p):
+        suffix_min.append(low)
+        if v < low:
+            low = v
+    suffix_min.reverse()
+    high = 0
+    for v, low in zip(p, suffix_min):
+        if v < high:
+            if v > low:
+                return False
+        else:
+            high = v
     return True
 
 

@@ -226,15 +226,14 @@ def _is_corner(lens: list[int], r: int) -> bool:
     return lens[r] > 0 and (r + 1 == len(lens) or lens[r + 1] < lens[r])
 
 
-def reverse_bump(p: RowIncreasingTableau, corner: tuple[int, int]
-                 ) -> tuple[RowIncreasingTableau, int]:
-    """Undo one star insertion starting at an inner corner (1-based)."""
-    rows = [list(r) for r in p.rows]
-    r, c = corner[0] - 1, corner[1] - 1
-    lens = [len(row) for row in rows]
-    if not (0 <= r < len(rows) and c == lens[r] - 1 and _is_corner(lens, r)):
-        raise ValidationError(f"cell {corner} is not an inner corner of the tableau")
+def _unbump(rows: list[list[int]], r: int) -> int:
+    """Remove the last cell of row ``r`` (0-based), which must be an inner
+    corner, and reverse-bump its letter down through the rows in place;
+    returns the letter that leaves the bottom row.  A row left empty is
+    deleted."""
     y = rows[r].pop()
+    if not rows[r]:
+        del rows[r]
     while r > 0:
         r -= 1
         row = rows[r]
@@ -250,12 +249,27 @@ def reverse_bump(p: RowIncreasingTableau, corner: tuple[int, int]
                 raise ReconstructionError("reverse bump found no smaller letter")
             k = cands[-1]
             row[k], y = y, row[k]
+    return y
+
+
+def reverse_bump(p: RowIncreasingTableau, corner: tuple[int, int]
+                 ) -> tuple[RowIncreasingTableau, int]:
+    """Undo one star insertion starting at an inner corner (1-based)."""
+    rows = [list(r) for r in p.rows]
+    r, c = corner[0] - 1, corner[1] - 1
+    lens = [len(row) for row in rows]
+    if not (0 <= r < len(rows) and c == lens[r] - 1 and _is_corner(lens, r)):
+        raise ValidationError(f"cell {corner} is not an inner corner of the tableau")
+    y = _unbump(rows, r)
     return _as_tableau(rows, RowIncreasingTableau), y
 
 
 def star_inverse(p: RowIncreasingTableau, q: SemistandardTableau) -> HeckeBiword:
     """Invert star insertion by peeling the letters of ``q`` from the
-    largest down, each as a horizontal strip processed right to left."""
+    largest down, each as a horizontal strip processed right to left.
+
+    The letters are peeled off one list of rows; only the inputs and the
+    returned biword are validated."""
     if p.shape != q.shape:
         raise ValidationError("tableaux must share a shape")
     p_word = row_word(p)
@@ -276,12 +290,7 @@ def star_inverse(p: RowIncreasingTableau, q: SemistandardTableau) -> HeckeBiword
             lens = [len(r) for r in rows]
             if not (i - 1 < len(rows) and j == lens[i - 1] and _is_corner(lens, i - 1)):
                 raise ReconstructionError(f"label {k} cell ({i},{j}) is not removable")
-            t = _as_tableau(rows, RowIncreasingTableau)
-            t2, letter = reverse_bump(t, (i, j))
-            rows = [list(r) for r in t2.rows]
-            while rows and not rows[-1]:
-                rows.pop()
-            block.append(letter)
+            block.append(_unbump(rows, i - 1))
         if any(block[a] <= block[a + 1] for a in range(len(block) - 1)):
             raise ReconstructionError(f"label {k} block is not strictly decreasing")
         top.extend([k] * len(block))

@@ -156,7 +156,7 @@ def f3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     if moved is None:
         return None
     upper, lower = moved
-    return f.replace_factor(i + 1, upper).replace_factor(i, lower)
+    return f.replace_factors({i + 1: upper, i: lower})
 
 
 def e3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
@@ -168,7 +168,7 @@ def e3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     if moved is None:
         return None
     upper, lower = moved
-    return f.replace_factor(i + 1, upper).replace_factor(i, lower)
+    return f.replace_factors({i + 1: upper, i: lower})
 
 
 def phi3(f: DecreasingFactorization, i: int) -> int:

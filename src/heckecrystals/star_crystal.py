@@ -90,7 +90,7 @@ def f_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None
     else:
         lo = _remove(lo, x)
         up = _insert_desc(up, x)
-    return f.replace_factor(i, lo).replace_factor(i + 1, up)
+    return f.replace_factors({i: lo, i + 1: up})
 
 
 def e_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
@@ -107,7 +107,7 @@ def e_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None
     else:
         up = _remove(up, y)
         lo = _insert_desc(lo, y)
-    return f.replace_factor(i, lo).replace_factor(i + 1, up)
+    return f.replace_factors({i: lo, i + 1: up})
 
 
 def phi(f: DecreasingFactorization, i: int) -> int:

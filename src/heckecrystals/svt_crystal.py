@@ -9,7 +9,10 @@ except that a right neighbor holding both letters donates instead
 
 Classical crystal operators on single-valued semistandard tableaux are
 the restriction of these maps to all-singleton fillings, so the module
-also serves as the operator backend for recording tableaux.
+also serves as the operator backend for recording tableaux.  They read
+the same column signature off the tableau itself: a singleton cell never
+holds both letters, so the donating case cannot arise, and the operator
+only relabels the lowest cell of the chosen column.
 """
 
 from __future__ import annotations
@@ -40,14 +43,18 @@ class Signature:
     unpaired_plus: tuple[int, ...]
 
 
-def _column_letters(t: SetValuedFilling) -> list[set[int]]:
+def _column_letters(t: SetValuedFilling | Tableau) -> list[set[int]]:
     cols: list[set[int]] = [set() for _ in range(max(t.shape.outer, default=0) + 1)]
-    for _, j, cell in t.cells():
-        cols[j].update(cell)
+    if isinstance(t, Tableau):
+        for _, j, v in t.cells():
+            cols[j].add(v)
+    else:
+        for _, j, cell in t.cells():
+            cols[j].update(cell)
     return cols
 
 
-def signature(t: SetValuedFilling, i: int) -> Signature:
+def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
     if i < 1:
         raise ValidationError("letter index must be positive")
     cols = _column_letters(t)
@@ -123,21 +130,29 @@ def epsilon_svt(t: SetValuedFilling, i: int) -> int:
     return len(signature(t, i).unpaired_plus)
 
 
-def _as_tableau(t: SetValuedFilling, cls: type) -> Tableau:
-    rows = tuple(tuple(cell[0] for cell in row) for row in t.rows)
-    return cls(t.shape, rows)
+def _relabel(t: Tableau, column: int, old: int, new: int) -> Tableau:
+    """``t`` with the lowest ``old`` in ``column`` replaced by ``new``."""
+    row = next(r for r, c, v in t.cells() if c == column and v == old)
+    cells = {(r, c): v for r, c, v in t.cells()}
+    cells[(row, column)] = new
+    return from_cells(t.shape, cells, type(t))
 
 
 def f_classical(t: Tableau, i: int) -> Tableau | None:
-    """Classical lowering operator on a single-valued tableau, realized
-    as the restriction of :func:`f_svt` to singleton cells."""
-    out = f_svt(t.as_set_valued(), i)
-    return None if out is None else _as_tableau(out, type(t))
+    """Classical lowering operator on a single-valued tableau: the
+    restriction of :func:`f_svt` to singleton cells."""
+    sig = signature(t, i)
+    if not sig.unpaired_minus:
+        return None
+    return _relabel(t, sig.unpaired_minus[-1], i, i + 1)
 
 
 def e_classical(t: Tableau, i: int) -> Tableau | None:
-    out = e_svt(t.as_set_valued(), i)
-    return None if out is None else _as_tableau(out, type(t))
+    """Classical raising operator: the restriction of :func:`e_svt`."""
+    sig = signature(t, i)
+    if not sig.unpaired_plus:
+        return None
+    return _relabel(t, sig.unpaired_plus[0], i + 1, i)
 
 
 def crystal_graph_svt(seed: SkewSetValuedTableau, m: int) -> ColoredDigraph:

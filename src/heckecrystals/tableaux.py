@@ -46,7 +46,6 @@ __all__ = [
     "weight_of",
     "excess_of",
     "row_word",
-    "validate",
 ]
 
 
@@ -298,16 +297,6 @@ class FlaggedIncreasingTableau(Tableau):
         return super()._violation() or next(
             (f"entry {v} in row {i} exceeds the flag {i - 1}"
              for i, row in enumerate(self.rows, start=1) for v in row if v > i - 1), None)
-
-
-def validate(obj: SetValuedFilling | Tableau) -> str | None:
-    """Re-run the invariants of the concrete type, returning the first
-    violation instead of raising (used by the CLI and the harness)."""
-    try:
-        type(obj)(obj.shape, obj.rows)
-    except ValidationError as exc:
-        return str(exc)
-    return None
 
 
 def weight_of(t: SetValuedFilling | Tableau) -> tuple[int, ...]:

@@ -36,7 +36,8 @@ from .local3 import all_factorizations3, crystal_graph_local3, e3, f3
 from .residue import res, res_inv
 from .star_crystal import e_star, f_star, pairing
 from .svt_crystal import e_classical, e_svt, f_classical, f_svt
-from .tableaux import SkewSetValuedTableau, SkewShape, excess_of, from_cells, weight_of
+from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
+                       from_cells, weight_of)
 from .uncrowding import star_tilde, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
@@ -147,14 +148,19 @@ def svt_fillings(shape: SkewShape, m: int,
     yield from rec(0, 0)
 
 
-def fc_factorizations(b: Bounds) -> Iterator[DecreasingFactorization]:
-    """All factorizations of fully-commutative elements of S_n into m
+def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:
+    """Per fully-commutative element of S_n, its factorizations into m
     blocks using at most ``max_letters`` letters."""
     for w in fully_commutative_elements(b.n):
         slack = b.max_letters - w.length()
-        if slack < 0:
-            continue
-        yield from enumerate_factorizations(w, b.m, slack)
+        if slack >= 0:
+            yield enumerate_factorizations(w, b.m, slack)
+
+
+def fc_factorizations(b: Bounds) -> Iterator[DecreasingFactorization]:
+    """All factorizations of :func:`_fc_classes`, one element after another."""
+    for cls in _fc_classes(b):
+        yield from cls
 
 
 def fc_words(b: Bounds) -> Iterator[tuple[int, ...]]:
@@ -420,19 +426,31 @@ def _check_operator_rewrites(b: Bounds, report: CheckReport) -> None:
                     report.fail(f"{op.__name__} {i} of {f} leaves the rewrite class")
 
 
+def _recording(f: DecreasingFactorization, memo: dict) -> SemistandardTableau:
+    q = memo.get(f.factors)
+    if q is None:
+        q = memo[f.factors] = star_insert(to_biword(f)).q
+    return q
+
+
 def _check_recording_intertwining(b: Bounds, report: CheckReport) -> None:
-    """Q of the star insertion carries the classical crystal action."""
-    for f in fc_factorizations(b):
-        q = star_insert(to_biword(f)).q
-        for i in range(1, f.m):
-            report.instances += 1
-            g = f_star(f, i)
-            q2 = f_classical(q, i)
-            if (g is None) != (q2 is None):
-                report.fail(f"definedness differs for {f} color {i}")
-                continue
-            if g is not None and star_insert(to_biword(g)).q != q2:
-                report.fail(f"recording tableaux differ for {f} color {i}")
+    """Q of the star insertion carries the classical crystal action.
+
+    ``f_star`` keeps the element, so each recording tableau is computed
+    once per element, in a memo dropped with that element."""
+    for cls in _fc_classes(b):
+        memo: dict[tuple, SemistandardTableau] = {}
+        for f in cls:
+            q = _recording(f, memo)
+            for i in range(1, f.m):
+                report.instances += 1
+                g = f_star(f, i)
+                q2 = f_classical(q, i)
+                if (g is None) != (q2 is None):
+                    report.fail(f"definedness differs for {f} color {i}")
+                    continue
+                if g is not None and _recording(g, memo) != q2:
+                    report.fail(f"recording tableaux differ for {f} color {i}")
 
 
 def _check_uncrowding_compat(b: Bounds, report: CheckReport) -> None:

@@ -133,3 +133,24 @@ def test_enumerate_no_duplicates_and_excess_bound():
     found = list(enumerate_factorizations(w, 3, 2))
     assert len({f.factors for f in found}) == len(found)
     assert all(excess(f) <= 2 and f.eval() == w for f in found)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_enumeration_order_matches_brute_force_filter(n):
+    """Every element of S_n, m = 3, excess <= 2: the enumeration yields
+    exactly the m-tuples of blocks that evaluate to w within the letter
+    budget, in the order of a product over the program's block order."""
+    from heckecrystals.factorization import _decreasing_blocks as program_blocks
+    from heckecrystals.hecke import all_elements
+
+    m = 3
+    by_element = {}
+    for combo in itertools.product(program_blocks(tuple(range(1, n)), n - 1), repeat=m):
+        flat = tuple(a for b in combo for a in b)
+        by_element.setdefault(eval_word(HeckeWord(flat, n)), []).append((combo, len(flat)))
+    for w in all_elements(n):
+        for max_excess in range(3):
+            expected = [combo for combo, letters in by_element.get(w, [])
+                        if letters <= w.length() + max_excess]
+            got = [f.factors for f in enumerate_factorizations(w, m, max_excess)]
+            assert got == expected

@@ -145,6 +145,15 @@ def _braid_free(e: HeckeElement) -> bool:
     return True
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pattern_test_agrees_with_brute_force_321_search(n):
+    for e in all_elements(n):
+        p = e.perm
+        has_321 = any(p[i] > p[j] > p[k]
+                      for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+        assert is_fully_commutative(e) == (not has_321)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pattern_test_agrees_with_braid_subword_oracle(n):
     for e in all_elements(n):

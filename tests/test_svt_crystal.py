@@ -91,3 +91,27 @@ def test_classical_restriction_on_singletons():
     out2 = f_classical(out, 1)
     assert out2.rows == ((2, 2),)
     assert f_classical(out2, 1) is None
+
+
+def test_classical_operators_are_the_restriction_of_the_svt_operators():
+    """On every semistandard tableau of at most 4 cells with entries at
+    most 4, the classical operators equal the set-valued ones applied to
+    the all-singleton filling, read back as a single-valued tableau."""
+    from heckecrystals.svt_crystal import e_classical, f_classical
+    from heckecrystals.tableaux import SemistandardTableau
+
+    def reference(op, t, i):
+        out = op(t.as_set_valued(), i)
+        if out is None:
+            return None
+        return SemistandardTableau(out.shape, tuple(tuple(c[0] for c in row) for row in out.rows))
+
+    m, checked = 4, 0
+    for shape in skew_shapes(Bounds(m=m, max_cells=4, max_rows=4, max_cols=4)):
+        for svt in svt_fillings(shape, m, max_excess=0):
+            t = SemistandardTableau(shape, tuple(tuple(c[0] for c in row) for row in svt.rows))
+            for i in range(1, m):
+                assert f_classical(t, i) == reference(f_svt, t, i)
+                assert e_classical(t, i) == reference(e_svt, t, i)
+                checked += 1
+    assert checked > 10_000
