@@ -112,7 +112,7 @@ def _cmd_uncrowd(args) -> int:
 def _cmd_graph(args) -> int:
     if args.crystal == "svt":
         seed = formats.filling_from_json(formats.loads(_read_payload(args)))
-        g = crystal_graph_svt(seed, args.blocks or seed.max_entry())
+        g = crystal_graph_svt(seed, seed.max_entry() if args.blocks is None else args.blocks)
         label = lambda t: pretty(t).replace("\n", "\\n")
     else:
         if args.seed is None:

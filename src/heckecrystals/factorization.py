@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .errors import ValidationError
-from .hecke import HeckeElement, HeckeWord, demazure_apply, eval_word, identity
+from .hecke import (HeckeElement, HeckeWord, demazure_apply, eval_word, identity,
+                    is_fully_commutative)
 
 __all__ = [
     "DecreasingFactorization",
@@ -65,6 +66,16 @@ class DecreasingFactorization:
 
     def eval(self) -> HeckeElement:
         return eval_word(self.flatten())
+
+    @property
+    def fully_commutative(self) -> bool:
+        """Whether the element avoids 321, kept from the first use: an
+        operator's output is a new object, evaluated from its own letters."""
+        try:
+            return self._fully_commutative
+        except AttributeError:
+            object.__setattr__(self, "_fully_commutative", is_fully_commutative(self.eval()))
+            return self._fully_commutative
 
     def num_letters(self) -> int:
         return sum(len(f) for f in self.factors)

@@ -151,12 +151,7 @@ def _json_ints(value: Any, what: str) -> tuple[int, ...]:
 
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:
-    return {
-        "notation": "french",
-        "outer": list(t.shape.outer),
-        "inner": list(t.shape.inner),
-        "rows": [[[v] for v in row] for row in t.rows],
-    }
+    return filling_to_json(t.as_set_valued())
 
 
 def tableau_from_json(data: dict[str, Any], cls: type = Tableau) -> Tableau:

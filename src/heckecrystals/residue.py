@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from .errors import DomainError, ReconstructionError, ValidationError
 from .factorization import DecreasingFactorization
-from .hecke import is_fully_commutative
 from .tableaux import SetValuedFilling, SkewSetValuedTableau, SkewShape, from_cells
 
 __all__ = ["res", "res_inv", "res_inv_shaped"]
@@ -54,7 +53,7 @@ def res(t: SetValuedFilling, m: int | None = None) -> DecreasingFactorization:
 
 
 def _require_fc(f: DecreasingFactorization, what: str) -> None:
-    if not is_fully_commutative(f.eval()):
+    if not f.fully_commutative:
         raise DomainError(f"{what} requires a fully-commutative factorization, got {f}")
 
 
@@ -143,7 +142,7 @@ def res_inv_shaped(f: DecreasingFactorization, shape: SkewShape) -> SkewSetValue
     """The unique filling of ``shape`` with residue ``f``."""
     _require_fc(f, "res_inv_shaped")
     lowest: dict[int, int] = {}                   # label -> lowest row of shape on it
-    for i, j in shape.cells():
+    for i, j in shape.geometry.cells:
         lowest.setdefault(shape.content(i, j), i)
     cells: dict[tuple[int, int], tuple[int, ...]] = {}
     for run in _runs(f):

@@ -18,7 +18,6 @@ from . import mutations
 from .errors import DomainError, ValidationError
 from .factorization import DecreasingFactorization, weight
 from .graphs import ColoredDigraph, build_component
-from .hecke import is_fully_commutative
 
 __all__ = ["Pairing", "pairing", "f_star", "e_star", "phi", "epsilon", "crystal_graph"]
 
@@ -40,7 +39,7 @@ class Pairing:
 def _check_domain(f: DecreasingFactorization, i: int) -> None:
     if not 1 <= i < f.m:
         raise ValidationError(f"operator index {i} outside [1, {f.m - 1}]")
-    if not is_fully_commutative(f.eval()):
+    if not f.fully_commutative:
         raise DomainError(f"factorization {f} is not fully commutative")
 
 
@@ -123,9 +122,7 @@ def epsilon(f: DecreasingFactorization, i: int) -> int:
 def crystal_graph(seed: DecreasingFactorization) -> ColoredDigraph:
     """Connected crystal component of ``seed`` (closure under both
     operators, every color)."""
-    if seed.m > 1:
-        _check_domain(seed, 1)
-    elif not is_fully_commutative(seed.eval()):
+    if not seed.fully_commutative:
         raise DomainError(f"factorization {seed} is not fully commutative")
     colors = tuple(range(1, seed.m))
     return build_component(

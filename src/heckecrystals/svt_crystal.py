@@ -26,7 +26,6 @@ from .tableaux import (
     SetValuedFilling,
     SkewSetValuedTableau,
     Tableau,
-    from_cells,
     weight_of,
 )
 
@@ -43,36 +42,22 @@ class Signature:
     unpaired_plus: tuple[int, ...]
 
 
-def _column_letters(t: SetValuedFilling | Tableau) -> list[set[int]]:
-    cols: list[set[int]] = [set() for _ in range(max(t.shape.outer, default=0) + 1)]
-    if isinstance(t, Tableau):
-        for _, j, v in t.cells():
-            cols[j].add(v)
-    else:
-        for _, j, cell in t.cells():
-            cols[j].update(cell)
-    return cols
-
-
 def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
     if i < 1:
         raise ValidationError("letter index must be positive")
-    cols = _column_letters(t)
-    signs = []
-    for j in range(1, len(cols)):
-        has_i, has_i1 = i in cols[j], i + 1 in cols[j]
-        if has_i and not has_i1:
-            signs.append("-")
-        elif has_i1 and not has_i:
-            signs.append("+")
-        else:
-            signs.append("")
+    flat, single = t.flat(), isinstance(t, Tableau)
+    signs: list[str] = []
     minus: list[int] = []
     plus_stack: list[int] = []
-    for j, s in enumerate(signs, start=1):
-        if s == "+":
+    for j, column in enumerate(t.shape.geometry.columns, start=1):
+        letters = [flat[k] for k in column]
+        if not single:
+            letters = [v for cell in letters for v in cell]
+        has_i, has_i1 = i in letters, i + 1 in letters
+        signs.append("" if has_i == has_i1 else "-" if has_i else "+")
+        if signs[-1] == "+":
             plus_stack.append(j)
-        elif s == "-":
+        elif signs[-1] == "-":
             if plus_stack:
                 plus_stack.pop()
             else:
@@ -80,46 +65,35 @@ def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
     return Signature(tuple(signs), tuple(minus), tuple(plus_stack))
 
 
-def _find_cell_with(t: SetValuedFilling, column: int,
-                    letter: int) -> tuple[int, int, tuple[int, ...]]:
-    for r, c, cell in t.cells():
-        if c == column and letter in cell:
-            return r, c, cell
-    raise AssertionError(f"no cell with {letter} in column {column}")
-
-
-def _replace_cells(t: SetValuedFilling,
-                   changes: dict[tuple[int, int], tuple[int, ...]]) -> SetValuedFilling:
-    cells = {(r, c): cell for r, c, cell in t.cells()}
-    cells.update((rc, tuple(sorted(new))) for rc, new in changes.items())
-    return from_cells(t.shape, cells, type(t))
+def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,
+          donate: bool = True) -> SetValuedFilling:
+    """Turn ``old`` into ``new`` in the lowest cell of ``column`` holding it,
+    unless ``donate`` and the neighbour on ``side`` (+1 right, -1 left)
+    holds both letters: then that neighbour loses ``old``, the cell gains ``new``."""
+    geo, flat = t.shape.geometry, t.flat()
+    k = next(k for k in geo.columns[column - 1] if old in flat[k])
+    (r, c), b = geo.cells[k], flat[k]
+    n = geo.index.get((r, c + side))
+    other = () if n is None else flat[n]
+    if donate and old in other and new in other:
+        return t.with_cells({(r, c): tuple(sorted(b + (new,))),
+                             (r, c + side): tuple(v for v in other if v != old)})
+    return t.with_cells({(r, c): tuple(sorted([v for v in b if v != old] + [new]))})
 
 
 def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     sig = signature(t, i)
     if not sig.unpaired_minus:
         return None
-    col = sig.unpaired_minus[-1]
-    r, c, b = _find_cell_with(t, col, i)
-    right = t.cell(r, c + 1) if (r, c + 1) in t.shape else ()
-    if (not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
-            and i in right and i + 1 in right):
-        moved = tuple(v for v in right if v != i)
-        return _replace_cells(t, {(r, c): b + (i + 1,), (r, c + 1): moved})
-    return _replace_cells(t, {(r, c): tuple(v for v in b if v != i) + (i + 1,)})
+    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1,
+                 donate=not mutations.enabled(mutations.FSVT_EXCEPTION_OFF))
 
 
 def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     sig = signature(t, i)
     if not sig.unpaired_plus:
         return None
-    col = sig.unpaired_plus[0]
-    r, c, b = _find_cell_with(t, col, i + 1)
-    left = t.cell(r, c - 1) if (r, c - 1) in t.shape else ()
-    if i in left and i + 1 in left:
-        moved = tuple(v for v in left if v != i + 1)
-        return _replace_cells(t, {(r, c): b + (i,), (r, c - 1): moved})
-    return _replace_cells(t, {(r, c): tuple(v for v in b if v != i + 1) + (i,)})
+    return _move(t, sig.unpaired_plus[0], i + 1, i, -1)
 
 
 def phi_svt(t: SetValuedFilling, i: int) -> int:
@@ -132,10 +106,9 @@ def epsilon_svt(t: SetValuedFilling, i: int) -> int:
 
 def _relabel(t: Tableau, column: int, old: int, new: int) -> Tableau:
     """``t`` with the lowest ``old`` in ``column`` replaced by ``new``."""
-    row = next(r for r, c, v in t.cells() if c == column and v == old)
-    cells = {(r, c): v for r, c, v in t.cells()}
-    cells[(row, column)] = new
-    return from_cells(t.shape, cells, type(t))
+    geo, flat = t.shape.geometry, t.flat()
+    k = next(k for k in geo.columns[column - 1] if flat[k] == old)
+    return t.with_cells({geo.cells[k]: new})
 
 
 def f_classical(t: Tableau, i: int) -> Tableau | None:

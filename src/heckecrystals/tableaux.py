@@ -8,14 +8,15 @@ insertion may repeat a label inside a cell, so the base class permits
 duplicates; :class:`SkewSetValuedTableau` rejects them along with the
 other semistandardness conditions.
 
-There is one row geometry, and this module is the only one that knows it:
-``rows[i - 1]`` holds row ``i`` from left to right, its first cell in
-column ``inner_i + 1``.  Fillings walk their own rows (``cells``, and the
-neighbour walk behind validation); :func:`from_cells` is the one map from
-a cell dictionary to ``rows``.  Code elsewhere reads cells through these
-and never computes an index into ``rows`` itself.
+A shape owns its geometry (:class:`Geometry`): row offsets, the cells of
+each row, the flat cells (bottom row first, left to right, so a cell's flat
+index is its place in ``rows`` read one row after another) with a cell to
+index map, each cell's right and upper neighbour, each column's cells, and
+the hash.  It is built on first use and shared per ``(outer, inner)``
+through one bounded table.  Fillings read, build (:func:`from_cells`) and
+change (:meth:`_Filling.with_cells`) cells through it, and cache their hash.
 
-Every constructor validates, with one walk over the rows that meets each
+Every constructor validates, with one walk over the cells that meets each
 cell together with its right and upper neighbours; each tableau class
 states only whether rows and columns increase weakly or strictly.
 Validation stays in the constructors instead of moving to the input
@@ -29,12 +30,15 @@ unseen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Any, ClassVar, Iterator, Mapping
 
 from .errors import ValidationError
 from .hecke import HeckeWord
 
 __all__ = [
+    "Geometry",
     "SkewShape",
     "SetValuedFilling",
     "SkewSetValuedTableau",
@@ -56,6 +60,42 @@ def _check_partition(parts: tuple[int, ...], name: str) -> None:
         raise ValidationError(f"{name} is not weakly decreasing: {parts}")
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Geometry:
+    """Where the cells of one shape sit; flat indices follow the cells
+    bottom row first, left to right, and -1 marks a missing neighbour."""
+
+    offsets: tuple[int, ...]                      # per row, inner cells left of it
+    rows: tuple[tuple[tuple[int, int], ...], ...]  # per row, its (i, j) cells
+    cells: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+    right: tuple[int, ...]                        # per cell, the flat index of (i, j + 1)
+    up: tuple[int, ...]                           # per cell, the flat index of (i + 1, j)
+    columns: tuple[tuple[int, ...], ...]          # per column 1..width, lowest cell first
+    hash: int
+
+
+# Each check walks one shape at a time; 256 also holds the distinct shapes of
+# a long-lived residue sample, whose equal shapes would otherwise keep copies.
+_GEOMETRIES = 256
+
+
+@lru_cache(maxsize=_GEOMETRIES)
+def _geometry(outer: tuple[int, ...], inner: tuple[int, ...]) -> Geometry:
+    offsets = inner + (0,) * (len(outer) - len(inner))
+    rows = tuple(tuple((i, j) for j in range(a + 1, b + 1))
+                 for i, (a, b) in enumerate(zip(offsets, outer), start=1))
+    cells = tuple(c for row in rows for c in row)
+    index = {c: k for k, c in enumerate(cells)}
+    return Geometry(
+        offsets, rows, cells, index,
+        right=tuple(index.get((i, j + 1), -1) for i, j in cells),
+        up=tuple(index.get((i + 1, j), -1) for i, j in cells),
+        columns=tuple(tuple(k for k, (_, j) in enumerate(cells) if j == col)
+                      for col in range(1, max(outer, default=0) + 1)),
+        hash=hash((outer, inner)))
+
+
 @dataclass(frozen=True)
 class SkewShape:
     """Outer and inner partitions with ``inner`` contained in ``outer``."""
@@ -71,20 +111,14 @@ class SkewShape:
         if any(a > b for a, b in zip(self.inner, self.outer)):
             raise ValidationError(f"inner shape {self.inner} not contained in {self.outer}")
 
+    @cached_property
+    def geometry(self) -> Geometry:
+        """Built on first use, and shared with every equal shape."""
+        return _geometry(self.outer, self.inner)
+
     @property
     def rows(self) -> int:
         return len(self.outer)
-
-    def offsets(self) -> tuple[int, ...]:
-        """Per row, the number of inner cells left of it: ``inner`` padded
-        with zeros to the length of ``outer``."""
-        return self.inner + (0,) * (len(self.outer) - len(self.inner))
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All (row, column) cells, bottom row first and left to right."""
-        for i, (a, b) in enumerate(zip(self.offsets(), self.outer), start=1):
-            for j in range(a + 1, b + 1):
-                yield (i, j)
 
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
@@ -94,9 +128,10 @@ class SkewShape:
         return self.rows + j - i
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
-        i, j = cell
-        return (0 < i <= len(self.outer)
-                and (self.inner[i - 1] if i <= len(self.inner) else 0) < j <= self.outer[i - 1])
+        return cell in self.geometry.index
+
+    def __hash__(self) -> int:
+        return self.geometry.hash
 
     def __str__(self) -> str:
         outer = ",".join(str(p) for p in self.outer)
@@ -118,12 +153,12 @@ class _Filling:
     rows: tuple
 
     def __post_init__(self) -> None:
-        sh = self.shape
-        if len(self.rows) != sh.rows:
-            raise ValidationError(f"expected {sh.rows} rows, got {len(self.rows)}")
-        for i, (row, a, b) in enumerate(zip(self.rows, sh.offsets(), sh.outer), start=1):
-            problem = (f"row {i} has {len(row)} cells, shape wants {b - a}"
-                       if len(row) != b - a else self._row_problem(i, row))
+        rows = self.shape.geometry.rows
+        if len(self.rows) != len(rows):
+            raise ValidationError(f"expected {len(rows)} rows, got {len(self.rows)}")
+        for i, (row, cells) in enumerate(zip(self.rows, rows), start=1):
+            problem = (f"row {i} has {len(row)} cells, shape wants {len(cells)}"
+                       if len(row) != len(cells) else self._row_problem(i, row))
             if problem is not None:
                 raise ValidationError(problem)
         problem = self._violation()
@@ -140,18 +175,28 @@ class _Filling:
         return None
 
     def cell(self, i: int, j: int):
-        inner = self.shape.inner
-        row = self.rows[i - 1] if 0 < i <= len(self.rows) else ()
-        k = j - 1 - (inner[i - 1] if i <= len(inner) else 0)
-        if not 0 <= k < len(row):
+        if (i, j) not in self.shape:
             raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
-        return row[k]
+        return self.rows[i - 1][j - 1 - self.shape.geometry.offsets[i - 1]]
+
+    def flat(self) -> tuple:
+        """Every cell's content, in the order of the shape's flat cells."""
+        return tuple(chain.from_iterable(self.rows))
 
     def cells(self) -> Iterator[tuple[int, int, Any]]:
         """``(i, j, cell)`` for every cell, bottom row first and left to right."""
-        for i, (row, a) in enumerate(zip(self.rows, self.shape.offsets()), start=1):
-            for j, cell in enumerate(row, start=a + 1):
-                yield i, j, cell
+        return ((i, j, cell) for (i, j), cell in zip(self.shape.geometry.cells, self.flat()))
+
+    def with_cells(self, changes: Mapping[tuple[int, int], Any]):
+        """This filling with ``changes[(i, j)]`` in cell ``(i, j)``, validated anew."""
+        offsets = self.shape.geometry.offsets
+        rows = list(self.rows)
+        for (i, j), cell in changes.items():
+            if (i, j) not in self.shape:
+                raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
+            row, k = rows[i - 1], j - 1 - offsets[i - 1]
+            rows[i - 1] = row[:k] + (cell,) + row[k + 1:]
+        return type(self)(self.shape, tuple(rows))
 
     def max_entry(self) -> int:
         return max(self._letters(), default=0)
@@ -163,25 +208,24 @@ class _Filling:
         return self.shape == other.shape and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.shape, self.rows)))
+            return self._hash
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-def _neighbours(t: _Filling) -> Iterator[tuple[int, int, Any, Any, Any]]:
-    """``(i, j, cell, right, up)`` for every cell of ``t`` in the order of
+def _neighbours(t: _Filling) -> Iterator[tuple[tuple[int, int], Any, Any, Any]]:
+    """``((i, j), cell, right, up)`` for every cell of ``t`` in the order of
     :meth:`_Filling.cells`, where ``right`` and ``up`` are the cells at
     ``(i, j + 1)`` and ``(i + 1, j)``, or None outside the shape."""
-    rows, offsets = t.rows, t.shape.offsets()
-    top = len(rows) - 1
-    for i, row in enumerate(rows):
-        a, last = offsets[i], len(row) - 1
-        up, shift = (rows[i + 1], a - offsets[i + 1]) if i < top else ((), 0)
-        for k, cell in enumerate(row):
-            u = k + shift
-            yield (i + 1, a + k + 1, cell, row[k + 1] if k < last else None,
-                   up[u] if 0 <= u < len(up) else None)
+    geo = t.shape.geometry
+    flat = t.flat() + (None,)   # a missing neighbour, -1, reads None
+    return zip(geo.cells, flat, map(flat.__getitem__, geo.right),
+               map(flat.__getitem__, geo.up))
 
 
 class SetValuedFilling(_Filling):
@@ -195,7 +239,7 @@ class SetValuedFilling(_Filling):
         for cell in row:
             if not cell:
                 return f"empty cell in row {i}"
-            if any(a > b for a, b in zip(cell, cell[1:])):
+            if len(cell) > 1 and any(a > b for a, b in zip(cell, cell[1:])):
                 return f"cell {cell} in row {i} is not ascending"
             if cell[0] < 1:
                 return f"cell {cell} in row {i} has entries < 1"
@@ -210,21 +254,16 @@ class SkewSetValuedTableau(SetValuedFilling):
     (max of a cell <= min of its right neighbor), strict columns."""
 
     def _violation(self) -> str | None:
-        return svt_violation(self)
-
-
-def svt_violation(t: SetValuedFilling) -> str | None:
-    """First semistandardness violation of ``t``, or None if valid."""
-    for i, j, cell, right, up in _neighbours(t):
-        if len(set(cell)) != len(cell):
-            return f"cell ({i},{j}) repeats an entry: {cell}"
-        if right is not None and cell[-1] > right[0]:
-            return (f"row condition fails between ({i},{j}) and ({i},{j + 1}): "
-                    f"max{cell} > min{right}")
-        if up is not None and cell[-1] >= up[0]:
-            return (f"column condition fails between ({i},{j}) and ({i + 1},{j}): "
-                    f"max{cell} >= min{up}")
-    return None
+        for (i, j), cell, right, up in _neighbours(self):
+            if len(set(cell)) != len(cell):
+                return f"cell ({i},{j}) repeats an entry: {cell}"
+            if right is not None and cell[-1] > right[0]:
+                return (f"row condition fails between ({i},{j}) and ({i},{j + 1}): "
+                        f"max{cell} > min{right}")
+            if up is not None and cell[-1] >= up[0]:
+                return (f"column condition fails between ({i},{j}) and ({i + 1},{j}): "
+                        f"max{cell} >= min{up}")
+        return None
 
 
 class Tableau(_Filling):
@@ -250,7 +289,7 @@ class Tableau(_Filling):
         if rs is None and cs is None:
             return None
         column = None
-        for i, j, v, right, up in _neighbours(self):
+        for (i, j), v, right, up in _neighbours(self):
             if rs is not None and right is not None and (v >= right if rs else v > right):
                 return (f"row {i} is not strictly increasing at column {j}" if rs
                         else f"row {i} decreases at column {j}")
@@ -330,7 +369,7 @@ def pretty(t: SetValuedFilling | Tableau) -> str:
 
     width = max(t.shape.outer, default=0)
     grid = [["."] * a + [text(v) for v in row] + [""] * (width - a - len(row))
-            for row, a in reversed(list(zip(t.rows, t.shape.offsets())))]
+            for row, a in reversed(list(zip(t.rows, t.shape.geometry.offsets)))]
     colw = [max((len(row[c]) for row in grid), default=1) for c in range(width)]
     lines = [" ".join(row[c].ljust(colw[c]) for c in range(width)).rstrip() for row in grid]
     return "\n".join(line for line in lines if line) or "(empty)"
@@ -342,8 +381,7 @@ def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
     ``cells[(i, j)]`` (an ascending tuple for set-valued classes, an int
     for single-valued ones); the one map from cells to rows."""
     try:
-        rows = tuple(tuple(cells[(i, j)] for j in range(a + 1, b + 1))
-                     for i, (a, b) in enumerate(zip(shape.offsets(), shape.outer), start=1))
+        rows = tuple(tuple(map(cells.__getitem__, row)) for row in shape.geometry.rows)
     except KeyError as exc:
         raise ValidationError(f"missing cell {exc.args[0]}") from None
     return cls(shape, rows)

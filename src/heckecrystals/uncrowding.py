@@ -114,7 +114,12 @@ def _padding(mu: tuple[int, ...], ambient_rows: int) -> DecreasingFactorization:
 def star_tilde(f: DecreasingFactorization, trace: bool = False) -> InsertionResult:
     """Star insertion normalized by the inner shape of the canonical
     preimage of ``f`` under the residue map."""
-    canonical = res_inv(f)
+    return _star_tilde(f, res_inv(f), trace)
+
+
+def _star_tilde(f: DecreasingFactorization, canonical: SkewSetValuedTableau,
+                trace: bool = False) -> InsertionResult:
+    """:func:`star_tilde` of ``f``, given its canonical preimage ``res_inv(f)``."""
     mu = canonical.shape.inner
     if not mu:
         return star_insert(to_biword(f), trace=trace)

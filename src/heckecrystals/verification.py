@@ -30,7 +30,7 @@ from .grothendieck import (
     schur_dict,
     series_via_expansion,
 )
-from .hecke import HeckeElement, fully_commutative_elements, is_fully_commutative
+from .hecke import HeckeWord, eval_word, fully_commutative_elements, is_fully_commutative
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, crystal_graph_local3, e3, f3
 from .residue import res, res_inv
@@ -38,7 +38,7 @@ from .star_crystal import e_star, f_star, pairing
 from .svt_crystal import e_classical, e_svt, f_classical, f_svt
 from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
                        from_cells, weight_of)
-from .uncrowding import star_tilde, uncrowd
+from .uncrowding import _star_tilde, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
            "available_checks", "default_bounds", "run_all"]
@@ -119,33 +119,28 @@ def svt_fillings(shape: SkewShape, m: int,
                  max_excess: int | None = None) -> Iterator[SkewSetValuedTableau]:
     """Every semistandard set-valued filling of ``shape`` with entries at
     most ``m`` (and bounded surplus when requested)."""
-    cells = list(shape.cells())
-    subsets = [tuple(sorted(s)) for r in range(1, m + 1)
-               for s in combinations(range(1, m + 1), r)]
-    filling: dict[tuple[int, int], tuple[int, ...]] = {}
+    geo = shape.geometry
+    subsets = [s for r in range(1, m + 1) for s in combinations(range(1, m + 1), r)]
+    before = [(geo.index.get((i, j - 1)), geo.index.get((i - 1, j))) for i, j in geo.cells]
+    flat: list[tuple[int, ...]] = []
 
-    def rec(idx: int, extra: int) -> Iterator[SkewSetValuedTableau]:
-        if idx == len(cells):
-            yield from_cells(shape, filling)
+    def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
+        if len(flat) == len(before):
+            yield from_cells(shape, dict(zip(geo.cells, flat)))
             return
-        i, j = cells[idx]
-        left = filling.get((i, j - 1))
-        below = filling.get((i - 1, j))
-        lo = 1
-        if left is not None:
-            lo = max(lo, left[-1])
-        strict_lo = below[-1] if below is not None else 0
+        left, below = before[len(flat)]
+        lo = flat[left][-1] if left is not None else 1
+        strict_lo = flat[below][-1] if below is not None else 0
         for s in subsets:
-            if s[0] < lo or s[0] <= strict_lo:
-                continue
             surplus = extra + len(s) - 1
-            if max_excess is not None and surplus > max_excess:
+            if s[0] < lo or s[0] <= strict_lo or (max_excess is not None
+                                                   and surplus > max_excess):
                 continue
-            filling[(i, j)] = s
-            yield from rec(idx + 1, surplus)
-            del filling[(i, j)]
+            flat.append(s)
+            yield from rec(surplus)
+            flat.pop()
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
 def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:
@@ -164,8 +159,6 @@ def fc_factorizations(b: Bounds) -> Iterator[DecreasingFactorization]:
 
 
 def fc_words(b: Bounds) -> Iterator[tuple[int, ...]]:
-    from .hecke import HeckeWord, eval_word
-
     def rec(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if word and not is_fully_commutative(eval_word(HeckeWord(word, b.n))):
             return
@@ -256,45 +249,32 @@ def stembridge_audit(g: ColoredDigraph) -> CheckReport:
                             report.fail(f"adjacent lower deltas at {u} colors {i},{j}: "
                                         f"{(d_phi, d_eps)}")
 
-        def up(u, *colors):
+        def path(step: dict, u, *colors):
             for c in colors:
-                u = inn.get((u, c)) if u is not None else None
+                u = step.get((u, c)) if u is not None else None
             return u
 
-        def down(u, *colors):
-            for c in colors:
-                u = out.get((u, c)) if u is not None else None
-            return u
-
+        # The raising side reads (inn, eps), the lowering side (out, phi).
+        sides = ((inn, eps, "raising"), (out, phi, "lowering"))
         for u in g.weights:
             for i in g.colors:
                 for j in g.colors:
                     if j <= i:
                         continue
-                    ei, ej = inn.get((u, i)), inn.get((u, j))
-                    if ei is not None and ej is not None:
-                        d_i_of_j = eps[(ei, j)] - eps[(u, j)]
-                        d_j_of_i = eps[(ej, i)] - eps[(u, i)]
+                    for step, table, kind in sides:
+                        vi, vj = step.get((u, i)), step.get((u, j))
+                        if vi is None or vj is None:
+                            continue
+                        d_i_of_j = table[(vi, j)] - table[(u, j)]
+                        d_j_of_i = table[(vj, i)] - table[(u, i)]
                         if abs(i - j) >= 2 or (d_i_of_j == 0 and d_j_of_i == 0):
-                            if up(u, i, j) != up(u, j, i) or up(u, i, j) is None:
-                                report.fail(f"raising {i},{j} fail to commute at {u}")
+                            ij = path(step, u, i, j)
+                            if ij is None or ij != path(step, u, j, i):
+                                report.fail(f"{kind} {i},{j} fail to commute at {u}")
                         elif d_i_of_j == 1 and d_j_of_i == 1:
-                            left = up(u, i, j, j, i)
-                            right = up(u, j, i, i, j)
-                            if left is None or left != right:
-                                report.fail(f"raising braid relation fails at {u} ({i},{j})")
-                    fi, fj = out.get((u, i)), out.get((u, j))
-                    if fi is not None and fj is not None:
-                        d_i_of_j = phi[(fi, j)] - phi[(u, j)]
-                        d_j_of_i = phi[(fj, i)] - phi[(u, i)]
-                        if abs(i - j) >= 2 or (d_i_of_j == 0 and d_j_of_i == 0):
-                            if down(u, i, j) != down(u, j, i) or down(u, i, j) is None:
-                                report.fail(f"lowering {i},{j} fail to commute at {u}")
-                        elif d_i_of_j == 1 and d_j_of_i == 1:
-                            left = down(u, i, j, j, i)
-                            right = down(u, j, i, i, j)
-                            if left is None or left != right:
-                                report.fail(f"lowering braid relation fails at {u} ({i},{j})")
+                            left = path(step, u, i, j, j, i)
+                            if left is None or left != path(step, u, j, i, i, j):
+                                report.fail(f"{kind} braid relation fails at {u} ({i},{j})")
 
         for comp in g.components():
             report.instances += len(comp)
@@ -345,18 +325,29 @@ def _timed(fn: Callable[[Bounds, CheckReport], None], name: str
     return run
 
 
+def _once(table: dict, fn: Callable, x: Hashable, *args):
+    """``fn(x, *args)``, computed once per ``x`` of ``table``."""
+    out = table.get(x)
+    if out is None:
+        out = table[x] = fn(x, *args)
+    return out
+
+
 def _check_residue_intertwining(b: Bounds, report: CheckReport) -> None:
-    """res maps the tableau operators to the factorization operators."""
+    """res maps the tableau operators to the factorization operators.  An
+    image keeps the shape, so each filling's residue is computed once per
+    shape, in a table keyed by the image actually produced."""
     for shape in skew_shapes(b):
+        table: dict[SkewSetValuedTableau, DecreasingFactorization] = {}
         for t in svt_fillings(shape, b.m):
-            f = res(t, b.m)
+            f = _once(table, res, t, b.m)
             for i in range(1, b.m):
                 report.instances += 1
                 for tab_op, fac_op, tag in ((f_svt, f_star, "lower"),
                                             (e_svt, e_star, "raise")):
                     t2 = tab_op(t, i)
                     f2 = fac_op(f, i)
-                    lhs = None if t2 is None else res(t2, b.m).factors
+                    lhs = None if t2 is None else _once(table, res, t2, b.m).factors
                     rhs = None if f2 is None else f2.factors
                     if lhs != rhs:
                         report.fail(f"{tag} {i} on {shape}: {t.rows} -> {lhs} vs {rhs}")
@@ -377,8 +368,6 @@ def _check_hecke_recording(b: Bounds, report: CheckReport) -> None:
 
 def _check_star_bijection(b: Bounds, report: CheckReport) -> None:
     """Star insertion round-trips against its inverse."""
-    from .hecke import HeckeWord, eval_word
-
     for f in fc_factorizations(b):
         report.instances += 1
         biword = to_biword(f)
@@ -426,22 +415,16 @@ def _check_operator_rewrites(b: Bounds, report: CheckReport) -> None:
                     report.fail(f"{op.__name__} {i} of {f} leaves the rewrite class")
 
 
-def _recording(f: DecreasingFactorization, memo: dict) -> SemistandardTableau:
-    q = memo.get(f.factors)
-    if q is None:
-        q = memo[f.factors] = star_insert(to_biword(f)).q
-    return q
-
-
 def _check_recording_intertwining(b: Bounds, report: CheckReport) -> None:
     """Q of the star insertion carries the classical crystal action.
 
     ``f_star`` keeps the element, so each recording tableau is computed
     once per element, in a memo dropped with that element."""
+    recording = lambda f: star_insert(to_biword(f)).q  # noqa: E731
     for cls in _fc_classes(b):
-        memo: dict[tuple, SemistandardTableau] = {}
+        memo: dict[DecreasingFactorization, SemistandardTableau] = {}
         for f in cls:
-            q = _recording(f, memo)
+            q = _once(memo, recording, f)
             for i in range(1, f.m):
                 report.instances += 1
                 g = f_star(f, i)
@@ -449,7 +432,7 @@ def _check_recording_intertwining(b: Bounds, report: CheckReport) -> None:
                 if (g is None) != (q2 is None):
                     report.fail(f"definedness differs for {f} color {i}")
                     continue
-                if g is not None and _recording(g, memo) != q2:
+                if g is not None and _once(memo, recording, g) != q2:
                     report.fail(f"recording tableaux differ for {f} color {i}")
 
 
@@ -464,18 +447,21 @@ def _check_uncrowding_compat(b: Bounds, report: CheckReport) -> None:
                 continue
             seen.add(h.factors)
             report.instances += 1
-            p_tilde, _ = uncrowd(res_inv(h))
-            q = star_tilde(h).q
+            canonical = res_inv(h)
+            p_tilde, _ = uncrowd(canonical)
+            q = _star_tilde(h, canonical).q
             if q != p_tilde:
                 report.fail(f"uncrowding mismatch for {h} (from {t.rows} on {shape})")
 
 
 def _check_uncrowding_intertwining(b: Bounds, report: CheckReport) -> None:
     """Uncrowding commutes with the crystal operators and fixes the
-    recording side."""
+    recording side.  An image keeps the shape and the excess, so each
+    filling is uncrowded once per shape, keyed by the image produced."""
     for shape in skew_shapes(b):
+        table: dict[SkewSetValuedTableau, tuple] = {}
         for t in svt_fillings(shape, b.m, max_excess=b.max_excess):
-            p1, q1 = uncrowd(t)
+            p1, q1 = _once(table, uncrowd, t)
             for i in range(1, b.m):
                 report.instances += 1
                 t2 = f_svt(t, i)
@@ -485,7 +471,7 @@ def _check_uncrowding_intertwining(b: Bounds, report: CheckReport) -> None:
                     continue
                 if t2 is None:
                     continue
-                p3, q3 = uncrowd(t2)
+                p3, q3 = _once(table, uncrowd, t2)
                 if p3 != p2 or q3 != q1:
                     report.fail(f"uncrowding fails to intertwine for {t.rows} color {i}")
 
@@ -529,13 +515,9 @@ def _check_pairing_side_conditions(b: Bounds, report: CheckReport) -> None:
                 report.fail(f"{f} color {i}: letter {x + 1} breaks the trichotomy")
 
 
-def _star_graph(b: Bounds) -> ColoredDigraph:
-    return build_component(fc_factorizations(b), tuple(range(1, b.m)),
-                           lower=f_star, raise_=e_star, weight=weight)
-
-
 def _check_stembridge_star(b: Bounds, report: CheckReport) -> None:
-    g = _star_graph(b)
+    g = build_component(fc_factorizations(b), tuple(range(1, b.m)),
+                        lower=f_star, raise_=e_star, weight=weight)
     sub = stembridge_audit(g)
     report.instances += sub.instances
     report.failures.extend(sub.failures)

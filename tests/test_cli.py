@@ -124,6 +124,14 @@ def test_graph_star_without_seed_is_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("blocks", ["0", "-2"])
+def test_graph_svt_with_nonpositive_blocks_is_invalid_input(capsys, monkeypatch, blocks):
+    seed = json.dumps({"notation": "french", "outer": [1], "inner": [], "rows": [[[1]]]})
+    code, _ = run(capsys, "graph", "--crystal", "svt", "--blocks", blocks,
+                  stdin=seed, monkeypatch=monkeypatch)
+    assert code == 2
+
+
 def test_missing_input_file_is_invalid_input(capsys, tmp_path):
     code, _ = run(capsys, "residue", "--input", str(tmp_path / "missing.json"))
     assert code == 2

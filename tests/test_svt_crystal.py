@@ -34,6 +34,63 @@ def test_signature_without_the_letters():
     assert sig.unpaired_minus == sig.unpaired_plus == ()
 
 
+def _reference_signature(t, i: int) -> tuple:
+    """The bracket rule on per-column letter sets, with the columns read off
+    ``rows`` and the inner partition directly."""
+    inner = t.shape.inner
+    cols = [set() for _ in range(max(t.shape.outer, default=0))]
+    for r, row in enumerate(t.rows):
+        for k, cell in enumerate(row):
+            j = (inner[r] if r < len(inner) else 0) + k + 1
+            cols[j - 1].update(cell if isinstance(cell, tuple) else (cell,))
+    signs = tuple("-" if i in c and i + 1 not in c else
+                  "+" if i + 1 in c and i not in c else "" for c in cols)
+    minus, plus = [], []
+    for j, s in enumerate(signs, start=1):
+        if s == "+":
+            plus.append(j)
+        elif s == "-":
+            if plus:
+                plus.pop()
+            else:
+                minus.append(j)
+    return signs, tuple(minus), tuple(plus)
+
+
+def test_signature_agrees_with_per_column_sets():
+    """Every set-valued filling (semistandard or not) with at most 3 cells
+    and entries at most 3, and every semistandard tableau with at most 4
+    cells and entries at most 4."""
+    from itertools import combinations, product
+
+    from heckecrystals.tableaux import SemistandardTableau, SetValuedFilling
+
+    def check(t, m):
+        for i in range(1, m + 1):
+            sig = signature(t, i)
+            assert (sig.signs, sig.unpaired_minus, sig.unpaired_plus) == \
+                _reference_signature(t, i), (t.rows, i)
+
+    subsets = [s for r in (1, 2, 3) for s in combinations((1, 2, 3), r)]
+    fillings = 0
+    for shape in skew_shapes(Bounds(max_cells=3, max_rows=3, max_cols=3)):
+        lengths = [len(row) for row in shape.geometry.rows]
+        for flat in product(subsets, repeat=shape.size()):
+            rows, k = [], 0
+            for n in lengths:
+                rows.append(tuple(flat[k:k + n]))
+                k += n
+            check(SetValuedFilling(shape, tuple(rows)), 3)
+            fillings += 1
+    tableaux = 0
+    for shape in skew_shapes(Bounds(max_cells=4, max_rows=4, max_cols=4)):
+        for svt in svt_fillings(shape, 4, max_excess=0):
+            check(SemistandardTableau(shape, tuple(tuple(c[0] for c in row)
+                                                   for row in svt.rows)), 4)
+            tableaux += 1
+    assert fillings > 10_000 and tableaux > 10_000
+
+
 def test_statistics_from_signature():
     assert phi_svt(T, 1) == 1
     assert epsilon_svt(T, 1) == 0

@@ -15,7 +15,7 @@ from heckecrystals.tableaux import (
     row_word,
     weight_of,
 )
-from heckecrystals.verification import svt_fillings
+from heckecrystals.verification import Bounds, skew_shapes, svt_fillings
 
 
 def test_shape_containment_checked():
@@ -29,7 +29,59 @@ def test_shape_contents():
     sh = SkewShape((2, 2), (1,))
     assert sh.content(1, 2) == 3
     assert sh.content(2, 1) == 1
-    assert list(sh.cells()) == [(1, 2), (2, 1), (2, 2)]
+    assert sh.geometry.cells == ((1, 2), (2, 1), (2, 2))
+
+
+def _naive_geometry(shape: SkewShape) -> dict:
+    """The geometry of ``shape`` recomputed from its two partitions alone."""
+    offsets = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    rows = tuple(tuple((i, j) for j in range(offsets[i - 1] + 1, shape.outer[i - 1] + 1))
+                 for i in range(1, len(shape.outer) + 1))
+    cells = [c for row in rows for c in row]
+
+    def at(c):
+        return cells.index(c) if c in cells else -1
+
+    return {"offsets": offsets, "rows": rows, "cells": tuple(cells),
+            "index": {c: at(c) for c in cells},
+            "right": tuple(at((i, j + 1)) for i, j in cells),
+            "up": tuple(at((i + 1, j)) for i, j in cells),
+            "columns": tuple(tuple(k for k, (_, j) in enumerate(cells) if j == col)
+                             for col in range(1, max(shape.outer, default=0) + 1)),
+            "hash": hash((shape.outer, shape.inner))}
+
+
+def test_shared_geometry_matches_a_naive_recomputation():
+    shapes = list(skew_shapes(Bounds(max_cells=6, max_rows=4, max_cols=4)))
+    assert len(shapes) > 500
+    for shape in shapes:
+        naive = _naive_geometry(shape)
+        geo = shape.geometry
+        assert {name: getattr(geo, name) for name in naive} == naive, shape
+        box = [(i, j) for i in range(6) for j in range(6)]
+        assert [c for c in box if c in shape] == sorted(naive["cells"])
+        twin = SkewShape(tuple(list(shape.outer)), tuple(list(shape.inner)))
+        assert twin is not shape and twin == shape
+        assert hash(twin) == hash(shape) == naive["hash"]
+        assert twin.geometry is geo
+
+
+def test_fillings_read_cells_through_the_geometry():
+    t = SkewSetValuedTableau(SkewShape((3, 2), (1,)), (((1,), (1, 2)), ((2,), (3,))))
+    assert list(t.cells()) == [(1, 2, (1,)), (1, 3, (1, 2)), (2, 1, (2,)), (2, 2, (3,))]
+    assert t.flat() == ((1,), (1, 2), (2,), (3,))
+    assert t.cell(2, 2) == (3,)
+    with pytest.raises(ValidationError, match="outside shape"):
+        t.cell(1, 1)
+    twin = SkewSetValuedTableau(SkewShape((3, 2), (1,)), t.rows)
+    assert twin == t and hash(twin) == hash(t) == hash((t.shape, t.rows))
+    moved = t.with_cells({(1, 3): (2,), (2, 2): (3, 4)})
+    assert moved.rows == (((1,), (2,)), ((2,), (3, 4)))
+    assert type(moved) is SkewSetValuedTableau and t.rows[0][1] == (1, 2)
+    with pytest.raises(ValidationError, match="column condition"):
+        t.with_cells({(2, 2): (1,)})
+    with pytest.raises(ValidationError, match="outside shape"):
+        t.with_cells({(1, 1): (1,)})
 
 
 def test_svt_example_is_valid():

@@ -100,3 +100,42 @@ def test_audit_flags_a_deleted_edge():
     g.edges.discard(edge)
     report = stembridge_audit(g)
     assert not report.ok
+
+
+def _counting(monkeypatch, modules, name):
+    """Replace ``name`` in each of ``modules`` by one counting wrapper around
+    the original function, and return the list of its arguments."""
+    real = getattr(modules[0], name)
+    calls = []
+
+    def wrapper(x, *args, **kwargs):
+        calls.append(x)
+        return real(x, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_uncrowding_intertwining_uncrowds_each_filling_once(monkeypatch):
+    from heckecrystals import verification
+    from heckecrystals.verification import skew_shapes, svt_fillings
+
+    b = SMALL["uncrowding-intertwining"]
+    calls = _counting(monkeypatch, [verification], "uncrowd")
+    report = check_theorem("uncrowding-intertwining", b)
+    fillings = [t for shape in skew_shapes(b)
+                for t in svt_fillings(shape, b.m, max_excess=b.max_excess)]
+    assert report.ok and report.instances == len(fillings) * (b.m - 1)
+    assert sorted(map(hash, calls)) == sorted(map(hash, fillings))
+    assert len(calls) == len(fillings)
+
+
+def test_uncrowding_compat_inverts_each_residue_once(monkeypatch):
+    from heckecrystals import uncrowding, verification
+
+    calls = _counting(monkeypatch, [verification, uncrowding], "res_inv")
+    report = check_theorem("uncrowding-compat", SMALL["uncrowding-compat"])
+    assert report.ok and report.instances > 100
+    assert len(calls) == report.instances
+    assert len({f.factors for f in calls}) == report.instances
