@@ -69,8 +69,7 @@ class DecreasingFactorization:
 
     @property
     def fully_commutative(self) -> bool:
-        """Whether the element avoids 321, kept from the first use: an
-        operator's output is a new object, evaluated from its own letters."""
+        """Whether the element avoids 321, kept from first use (outputs are new objects)."""
         try:
             return self._fully_commutative
         except AttributeError:

@@ -45,31 +45,38 @@ class Signature:
 def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
     if i < 1:
         raise ValidationError("letter index must be positive")
-    flat, single = t.flat(), isinstance(t, Tableau)
+    flat = t.flat()
+    if isinstance(t, Tableau):
+        flat = tuple((v,) for v in flat)
     signs: list[str] = []
     minus: list[int] = []
     plus_stack: list[int] = []
     for j, column in enumerate(t.shape.geometry.columns, start=1):
-        letters = [flat[k] for k in column]
-        if not single:
-            letters = [v for cell in letters for v in cell]
-        has_i, has_i1 = i in letters, i + 1 in letters
-        signs.append("" if has_i == has_i1 else "-" if has_i else "+")
-        if signs[-1] == "+":
-            plus_stack.append(j)
-        elif signs[-1] == "-":
+        has_i = has_i1 = False
+        for k in column:
+            cell = flat[k]
+            if i in cell:
+                has_i = True
+            if i + 1 in cell:
+                has_i1 = True
+        if has_i == has_i1:
+            signs.append("")
+        elif has_i:
+            signs.append("-")
             if plus_stack:
                 plus_stack.pop()
             else:
                 minus.append(j)
+        else:
+            signs.append("+")
+            plus_stack.append(j)
     return Signature(tuple(signs), tuple(minus), tuple(plus_stack))
 
 
 def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,
           donate: bool = True) -> SetValuedFilling:
-    """Turn ``old`` into ``new`` in the lowest cell of ``column`` holding it,
-    unless ``donate`` and the neighbour on ``side`` (+1 right, -1 left)
-    holds both letters: then that neighbour loses ``old``, the cell gains ``new``."""
+    """Turn ``old`` into ``new`` in the lowest cell of ``column`` holding it; if ``donate``
+    and the neighbour on ``side`` holds both, it loses ``old`` and the cell gains ``new``."""
     geo, flat = t.shape.geometry, t.flat()
     k = next(k for k in geo.columns[column - 1] if old in flat[k])
     (r, c), b = geo.cells[k], flat[k]
@@ -83,17 +90,13 @@ def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,
 
 def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     sig = signature(t, i)
-    if not sig.unpaired_minus:
-        return None
-    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1,
-                 donate=not mutations.enabled(mutations.FSVT_EXCEPTION_OFF))
+    donate = not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
+    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1, donate) if sig.unpaired_minus else None
 
 
 def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
     sig = signature(t, i)
-    if not sig.unpaired_plus:
-        return None
-    return _move(t, sig.unpaired_plus[0], i + 1, i, -1)
+    return _move(t, sig.unpaired_plus[0], i + 1, i, -1) if sig.unpaired_plus else None
 
 
 def phi_svt(t: SetValuedFilling, i: int) -> int:

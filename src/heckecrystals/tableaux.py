@@ -62,8 +62,7 @@ def _check_partition(parts: tuple[int, ...], name: str) -> None:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Geometry:
-    """Where the cells of one shape sit; flat indices follow the cells
-    bottom row first, left to right, and -1 marks a missing neighbour."""
+    """Where one shape's cells sit; a flat index of -1 marks a missing neighbour."""
 
     offsets: tuple[int, ...]                      # per row, inner cells left of it
     rows: tuple[tuple[tuple[int, int], ...], ...]  # per row, its (i, j) cells
@@ -192,8 +191,7 @@ class _Filling:
         offsets = self.shape.geometry.offsets
         rows = list(self.rows)
         for (i, j), cell in changes.items():
-            if (i, j) not in self.shape:
-                raise ValidationError(f"cell ({i}, {j}) outside shape {self.shape}")
+            self.cell(i, j)   # raises outside the shape
             row, k = rows[i - 1], j - 1 - offsets[i - 1]
             rows[i - 1] = row[:k] + (cell,) + row[k + 1:]
         return type(self)(self.shape, tuple(rows))
@@ -219,9 +217,8 @@ class _Filling:
 
 
 def _neighbours(t: _Filling) -> Iterator[tuple[tuple[int, int], Any, Any, Any]]:
-    """``((i, j), cell, right, up)`` for every cell of ``t`` in the order of
-    :meth:`_Filling.cells`, where ``right`` and ``up`` are the cells at
-    ``(i, j + 1)`` and ``(i + 1, j)``, or None outside the shape."""
+    """``((i, j), cell, right, up)`` for every cell of ``t`` in flat order, with the
+    cells at ``(i, j + 1)`` and ``(i + 1, j)``, or None outside the shape."""
     geo = t.shape.geometry
     flat = t.flat() + (None,)   # a missing neighbour, -1, reads None
     return zip(geo.cells, flat, map(flat.__getitem__, geo.right),

@@ -334,9 +334,8 @@ def _once(table: dict, fn: Callable, x: Hashable, *args):
 
 
 def _check_residue_intertwining(b: Bounds, report: CheckReport) -> None:
-    """res maps the tableau operators to the factorization operators.  An
-    image keeps the shape, so each filling's residue is computed once per
-    shape, in a table keyed by the image actually produced."""
+    """res maps the tableau operators to the factorization operators; an image keeps
+    the shape, so residues are computed once per filling, keyed by the image."""
     for shape in skew_shapes(b):
         table: dict[SkewSetValuedTableau, DecreasingFactorization] = {}
         for t in svt_fillings(shape, b.m):
@@ -455,9 +454,8 @@ def _check_uncrowding_compat(b: Bounds, report: CheckReport) -> None:
 
 
 def _check_uncrowding_intertwining(b: Bounds, report: CheckReport) -> None:
-    """Uncrowding commutes with the crystal operators and fixes the
-    recording side.  An image keeps the shape and the excess, so each
-    filling is uncrowded once per shape, keyed by the image produced."""
+    """Uncrowding commutes with the crystal operators and fixes the recording side;
+    an image keeps shape and excess, so each filling is uncrowded once per shape."""
     for shape in skew_shapes(b):
         table: dict[SkewSetValuedTableau, tuple] = {}
         for t in svt_fillings(shape, b.m, max_excess=b.max_excess):
