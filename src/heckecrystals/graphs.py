@@ -1,14 +1,16 @@
 """Colored directed graphs for crystal components, plus DOT emission.
 
 Edges point along lowering operators (``f``); colors are the operator
-indices.  Builders do a breadth-first closure under both raising and
-lowering maps, so a component is complete regardless of the seed's
-position in it.
+indices.  Each node is stored once, interned to an id ``0, 1, ...`` in the
+order it was added; per color, ``out[c][u]`` is the id of the ``f_c``-image
+of node ``u`` and ``inn[c][u]`` the id of its ``e_c``-image, -1 where there
+is none.  Builders take the closure under one step that returns both
+images, so a component is complete regardless of the seed's position in
+it, and fill both maps as each edge is added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 __all__ = ["ColoredDigraph", "build_component", "EDGE_PALETTE"]
@@ -16,52 +18,85 @@ __all__ = ["ColoredDigraph", "build_component", "EDGE_PALETTE"]
 EDGE_PALETTE = {1: "blue", 2: "red", 3: "green", 4: "purple", 5: "orange"}
 
 
-@dataclass
 class ColoredDigraph:
-    """Nodes with weights and colored edges ``u --color--> v``."""
+    """Nodes with weights and colored edges ``u --color--> v``, over node ids.
 
-    colors: tuple[int, ...]
-    weights: dict[Hashable, tuple[int, ...]] = field(default_factory=dict)
-    edges: set[tuple[Hashable, int, Hashable]] = field(default_factory=set)
+    ``node[u]`` and ``wt[u]`` are the node and weight of id ``u``, ``index``
+    maps a node to its id.  A second, different edge out of or into a node
+    is kept out of the maps and recorded in ``conflicts``."""
+
+    def __init__(self, colors: Sequence[int],
+                 weights: dict[Hashable, tuple[int, ...]] | None = None) -> None:
+        self.colors = tuple(colors)
+        self.node: list[Hashable] = []
+        self.index: dict[Hashable, int] = {}
+        self.wt: list[tuple[int, ...]] = []
+        self.out: dict[int, list[int]] = {c: [] for c in self.colors}
+        self.inn: dict[int, list[int]] = {c: [] for c in self.colors}
+        self.conflicts: list[str] = []
+        for u, w in (weights or {}).items():
+            self._add(u, w)
+
+    def _add(self, u: Hashable, w: tuple[int, ...]) -> int:
+        k = self.index[u] = len(self.node)
+        self.node.append(u)
+        self.wt.append(w)
+        for c in self.colors:
+            self.out[c].append(-1)
+            self.inn[c].append(-1)
+        return k
+
+    def _link(self, a: int, c: int, b: int) -> None:
+        out, inn = self.out[c], self.inn[c]
+        if out[a] < 0:
+            out[a] = b
+        elif out[a] != b:
+            self.conflicts.append(f"two {c}-edges out of {self.node[a]}")
+        if inn[b] < 0:
+            inn[b] = a
+        elif inn[b] != a:
+            self.conflicts.append(f"two {c}-edges into {self.node[b]}")
+
+    @property
+    def weights(self) -> dict[Hashable, tuple[int, ...]]:
+        return dict(zip(self.node, self.wt))
 
     @property
     def nodes(self) -> set[Hashable]:
-        return set(self.weights)
+        return set(self.node)
 
-    def _adjacency(self) -> dict[Hashable, list[Hashable]]:
-        adj: dict[Hashable, list[Hashable]] = {u: [] for u in self.weights}
-        for a, _, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+    @property
+    def edges(self) -> set[tuple[Hashable, int, Hashable]]:
+        node = self.node
+        return {(node[a], c, node[b]) for c, out in self.out.items()
+                for a, b in enumerate(out) if b >= 0}
 
-    def components(self) -> list[set[Hashable]]:
-        adj = self._adjacency()
-        seen: set[Hashable] = set()
-        out = []
-        for u in self.weights:
-            if u in seen:
+    def components(self) -> list[list[int]]:
+        """The ids of each connected component, the lowest id first."""
+        steps = [*self.out.values(), *self.inn.values()]
+        seen = [False] * len(self.node)
+        comps = []
+        for root in range(len(self.node)):
+            if seen[root]:
                 continue
-            comp = {u}
-            stack = [u]
-            seen.add(u)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(comp)
-        return out
+            seen[root] = True
+            comp = [root]
+            for x in comp:
+                for step in steps:
+                    y = step[x]
+                    if y >= 0 and not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+            comps.append(comp)
+        return comps
 
-    def sinks(self, comp: Iterable[Hashable]) -> list[Hashable]:
-        comp = set(comp)
-        with_out = {a for a, _, _ in self.edges if a in comp}
-        return sorted((u for u in comp if u not in with_out), key=str)
+    def sinks(self, comp: Iterable[int]) -> list[int]:
+        """The ids in ``comp`` with no outgoing edge."""
+        outs = list(self.out.values())
+        return [u for u in comp if all(out[u] < 0 for out in outs)]
 
     def to_dot(self, label: Callable[[Hashable], str] = str, name: str = "crystal") -> str:
-        ids = {u: f"n{k}" for k, u in enumerate(sorted(self.weights, key=str))}
+        ids = {u: f"n{k}" for k, u in enumerate(sorted(self.node, key=str))}
         lines = [f"digraph {name} {{", "  rankdir=TB;", '  node [shape=plaintext];']
         for u, nid in ids.items():
             lines.append(f'  {nid} [label="{label(u)}"];')
@@ -72,33 +107,29 @@ class ColoredDigraph:
         return "\n".join(lines)
 
 
-def build_component(
-    seeds: Iterable[Hashable],
-    colors: Sequence[int],
-    lower: Callable[[Hashable, int], Hashable | None],
-    raise_: Callable[[Hashable, int], Hashable | None],
-    weight: Callable[[Hashable], tuple[int, ...]],
-) -> ColoredDigraph:
-    """Closure of the seed set under raising and lowering operators."""
-    g = ColoredDigraph(tuple(colors))
-    frontier = []
+def build_component(seeds: Iterable[Hashable], colors: Sequence[int],
+                    step: Callable[[Hashable, int], tuple[Hashable | None, Hashable | None]],
+                    weight: Callable[[Hashable], tuple[int, ...]]) -> ColoredDigraph:
+    """Closure of the seed set under ``step(u, c) -> (lowered, raised)``."""
+    g = ColoredDigraph(colors)
+    index, frontier = g.index, []
+
+    def intern(u: Hashable) -> int:
+        k = index.get(u)
+        if k is None:
+            k = g._add(u, weight(u))
+            frontier.append(k)
+        return k
+
     for s in seeds:
-        if s not in g.weights:
-            g.weights[s] = weight(s)
-            frontier.append(s)
+        intern(s)
     while frontier:
-        u = frontier.pop()
-        for c in colors:
-            v = lower(u, c)
-            if v is not None:
-                g.edges.add((u, c, v))
-                if v not in g.weights:
-                    g.weights[v] = weight(v)
-                    frontier.append(v)
-            p = raise_(u, c)
-            if p is not None:
-                g.edges.add((p, c, u))
-                if p not in g.weights:
-                    g.weights[p] = weight(p)
-                    frontier.append(p)
+        k = frontier.pop()
+        u = g.node[k]
+        for c in g.colors:
+            lowered, raised = step(u, c)
+            if lowered is not None:
+                g._link(k, c, intern(lowered))
+            if raised is not None:
+                g._link(intern(raised), c, k)
     return g

@@ -190,7 +190,7 @@ def epsilon3(f: DecreasingFactorization, i: int) -> int:
 def crystal_graph_local3(seed: DecreasingFactorization) -> ColoredDigraph:
     _check_blocks(seed)
     return build_component([seed], tuple(range(1, seed.m)),
-                           lower=f3, raise_=e3, weight=weight)
+                           lambda u, c: (f3(u, c), e3(u, c)), weight)
 
 
 def all_factorizations3(m: int, max_letters: int) -> list[DecreasingFactorization]:

@@ -19,7 +19,7 @@ from .errors import DomainError, ValidationError
 from .factorization import DecreasingFactorization, weight
 from .graphs import ColoredDigraph, build_component
 
-__all__ = ["Pairing", "pairing", "f_star", "e_star", "phi", "epsilon", "crystal_graph"]
+__all__ = ["Pairing", "pairing", "star_step", "f_star", "e_star", "phi", "epsilon", "crystal_graph"]
 
 
 @dataclass(frozen=True)
@@ -73,40 +73,44 @@ def _remove(block: tuple[int, ...], x: int) -> tuple[int, ...]:
     return block[:k] + block[k + 1:]
 
 
+def star_step(f: DecreasingFactorization, i: int
+              ) -> tuple[DecreasingFactorization | None, DecreasingFactorization | None]:
+    """``(f_star(f, i), e_star(f, i))`` from one pairing."""
+    p = pairing(f, i)
+    return _lower(f, i, p), _raise(f, i, p)
+
+
 def f_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Lowering operator: act on the largest unpaired letter ``x`` of
     block ``i``.  When ``x+1`` sits in both blocks, that copy in block
     ``i`` dissolves and ``x`` joins block ``i+1``; otherwise ``x`` moves."""
-    p = pairing(f, i)
-    if not p.unpaired_lower:
-        return None
-    x = p.unpaired_lower[0]
-    lo, up = f.factor(i), f.factor(i + 1)
-    if (x + 1 in lo and x + 1 in up
-            and not mutations.enabled(mutations.FSTAR_NEIGHBOR_CASE_OFF)):
-        lo = _remove(lo, x + 1)
-        up = _insert_desc(up, x)
-    else:
-        lo = _remove(lo, x)
-        up = _insert_desc(up, x)
-    return f.replace_factors({i: lo, i + 1: up})
+    return _lower(f, i, pairing(f, i))
 
 
 def e_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Raising operator: partial inverse of :func:`f_star`, acting on the
     smallest unpaired letter of block ``i+1``."""
-    p = pairing(f, i)
+    return _raise(f, i, pairing(f, i))
+
+
+def _lower(f: DecreasingFactorization, i: int, p: Pairing) -> DecreasingFactorization | None:
+    if not p.unpaired_lower:
+        return None
+    x = p.unpaired_lower[0]
+    lo, up = f.factor(i), f.factor(i + 1)
+    neighbour = x + 1 in lo and x + 1 in up
+    gone = x + 1 if neighbour and not mutations.enabled(mutations.FSTAR_NEIGHBOR_CASE_OFF) else x
+    return f.replace_factors({i: _remove(lo, gone), i + 1: _insert_desc(up, x)})
+
+
+def _raise(f: DecreasingFactorization, i: int, p: Pairing) -> DecreasingFactorization | None:
     if not p.unpaired_upper:
         return None
     y = p.unpaired_upper[0]
     lo, up = f.factor(i), f.factor(i + 1)
-    if y - 1 in lo and y - 1 in up:
-        up = _remove(up, y - 1)
-        lo = _insert_desc(lo, y)
-    else:
-        up = _remove(up, y)
-        lo = _insert_desc(lo, y)
-    return f.replace_factors({i: lo, i + 1: up})
+    gone = y - 1 if y - 1 in lo and y - 1 in up else y
+    up = _remove(up, gone)
+    return f.replace_factors({i: _insert_desc(lo, y), i + 1: up})
 
 
 def phi(f: DecreasingFactorization, i: int) -> int:
@@ -124,9 +128,4 @@ def crystal_graph(seed: DecreasingFactorization) -> ColoredDigraph:
     operators, every color)."""
     if not seed.fully_commutative:
         raise DomainError(f"factorization {seed} is not fully commutative")
-    colors = tuple(range(1, seed.m))
-    return build_component(
-        [seed], colors,
-        lower=f_star, raise_=e_star,
-        weight=weight,
-    )
+    return build_component([seed], tuple(range(1, seed.m)), star_step, weight)

@@ -29,7 +29,7 @@ from .tableaux import (
     weight_of,
 )
 
-__all__ = ["Signature", "signature", "f_svt", "e_svt", "phi_svt", "epsilon_svt",
+__all__ = ["Signature", "signature", "svt_step", "f_svt", "e_svt", "phi_svt", "epsilon_svt",
            "f_classical", "e_classical", "crystal_graph_svt"]
 
 
@@ -88,14 +88,29 @@ def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,
     return t.with_cells({(r, c): tuple(sorted([v for v in b if v != old] + [new]))})
 
 
-def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
+def svt_step(t: SetValuedFilling, i: int
+             ) -> tuple[SetValuedFilling | None, SetValuedFilling | None]:
+    """``(f_svt(t, i), e_svt(t, i))`` from one signature."""
     sig = signature(t, i)
-    donate = not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
-    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1, donate) if sig.unpaired_minus else None
+    return _lower(t, i, sig), _raise(t, i, sig)
+
+
+def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
+    return _lower(t, i, signature(t, i))
 
 
 def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
-    sig = signature(t, i)
+    return _raise(t, i, signature(t, i))
+
+
+def _lower(t: SetValuedFilling, i: int, sig: Signature) -> SetValuedFilling | None:
+    if not sig.unpaired_minus:
+        return None
+    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1,
+                 not mutations.enabled(mutations.FSVT_EXCEPTION_OFF))
+
+
+def _raise(t: SetValuedFilling, i: int, sig: Signature) -> SetValuedFilling | None:
     return _move(t, sig.unpaired_plus[0], i + 1, i, -1) if sig.unpaired_plus else None
 
 
@@ -135,13 +150,4 @@ def crystal_graph_svt(seed: SkewSetValuedTableau, m: int) -> ColoredDigraph:
     """Connected component of ``seed`` under letters ``1..m-1``."""
     if seed.max_entry() > m:
         raise ValidationError(f"seed has entries above {m}")
-    return build_component(
-        [seed], tuple(range(1, m)),
-        lower=f_svt, raise_=e_svt,
-        weight=lambda t: _padded_weight(t, m),
-    )
-
-
-def _padded_weight(t: SetValuedFilling, m: int) -> tuple[int, ...]:
-    w = weight_of(t)
-    return w + (0,) * (m - len(w))
+    return build_component([seed], tuple(range(1, m)), svt_step, lambda t: weight_of(t, m))

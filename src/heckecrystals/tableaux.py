@@ -335,10 +335,10 @@ class FlaggedIncreasingTableau(Tableau):
              for i, row in enumerate(self.rows, start=1) for v in row if v > i - 1), None)
 
 
-def weight_of(t: SetValuedFilling | Tableau) -> tuple[int, ...]:
-    """Multiplicity vector of the letters ``1..max``."""
+def weight_of(t: SetValuedFilling | Tableau, length: int = 0) -> tuple[int, ...]:
+    """Multiplicity vector of the letters ``1..max``, padded with zeros to ``length``."""
     entries = list(t._letters())
-    counts = [0] * max(entries, default=0)
+    counts = [0] * max(max(entries, default=0), length)
     for v in entries:
         counts[v - 1] += 1
     return tuple(counts)

@@ -10,8 +10,9 @@ subcommand and the acceptance tests drive them.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterator
 
 from .errors import ValidationError
@@ -34,8 +35,8 @@ from .hecke import HeckeWord, eval_word, fully_commutative_elements, is_fully_co
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, crystal_graph_local3, e3, f3
 from .residue import res, res_inv
-from .star_crystal import e_star, f_star, pairing
-from .svt_crystal import e_classical, e_svt, f_classical, f_svt
+from .star_crystal import e_star, f_star, pairing, star_step
+from .svt_crystal import f_classical, f_svt, svt_step
 from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
                        from_cells, weight_of)
 from .uncrowding import _star_tilde, uncrowd
@@ -175,134 +176,111 @@ def fc_words(b: Bounds) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Stembridge audit on abstract colored digraphs
 
+def _string_lengths(g: ColoredDigraph, step: list[int], c: int) -> list[int]:
+    """For each node, the number of steps along ``step`` until it stops."""
+    lengths = []
+    for u, v in enumerate(step):
+        k = 0
+        while v >= 0:
+            k, v = k + 1, step[v]
+            if k > len(step):
+                raise ValidationError(f"color {c} string through {g.node[u]} cycles")
+        lengths.append(k)
+    return lengths
+
+
 def stembridge_audit(g: ColoredDigraph) -> CheckReport:
     """String bookkeeping, the local axioms for adjacent and distant
     colors, and uniqueness of the highest weight per component."""
     report = CheckReport("stembridge-audit")
     start = time.perf_counter()
-    out: dict[tuple[Hashable, int], Hashable] = {}
-    inn: dict[tuple[Hashable, int], Hashable] = {}
-    for a, c, v in g.edges:
-        if (a, c) in out and out[(a, c)] != v:
-            report.fail(f"two {c}-edges out of {a}")
-        if (v, c) in inn and inn[(v, c)] != a:
-            report.fail(f"two {c}-edges into {v}")
-        out[(a, c)] = v
-        inn[(v, c)] = a
-
-    eps: dict[tuple[Hashable, int], int] = {}
-    phi: dict[tuple[Hashable, int], int] = {}
-
-    def walk(u: Hashable, c: int, table: dict, step: dict) -> int:
-        k, cur = 0, u
-        while (cur, c) in step:
-            cur = step[(cur, c)]
-            k += 1
-            if k > len(g.weights):
-                raise ValidationError(f"color {c} string through {u} cycles")
-        table[(u, c)] = k
-        return k
-
+    node, wt, colors = g.node, g.wt, g.colors
     try:
-        for u in g.weights:
-            for c in g.colors:
-                e = walk(u, c, eps, inn)
-                f = walk(u, c, phi, out)
-                wt = g.weights[u]
-                if f - e != wt[c - 1] - wt[c]:
-                    report.fail(f"string lengths at {u} color {c} disagree with weight")
-            for c in g.colors:
-                v = out.get((u, c))
-                if v is None:
-                    continue
-                wu, wv = g.weights[u], g.weights[v]
-                expected = list(wu)
-                expected[c - 1] -= 1
-                expected[c] += 1
-                if list(wv) != expected:
-                    report.fail(f"edge {u} -{c}-> {v} moves weight incorrectly")
+        for msg in g.conflicts:
+            report.fail(msg)
+        eps = {c: _string_lengths(g, g.inn[c], c) for c in colors}
+        phi = {c: _string_lengths(g, g.out[c], c) for c in colors}
+        for c in colors:
+            out, e, f = g.out[c], eps[c], phi[c]
+            for u, w in enumerate(wt):
+                if f[u] - e[u] != w[c - 1] - w[c]:
+                    report.fail(f"string lengths at {node[u]} color {c} disagree with weight")
+                v = out[u]
+                if v >= 0:
+                    expected = list(w)
+                    expected[c - 1] -= 1
+                    expected[c] += 1
+                    if list(wt[v]) != expected:
+                        report.fail(f"edge {node[u]} -{c}-> {node[v]} moves weight incorrectly")
 
         # Under a raising step, an adjacent phi_j drops by one or eps_j
         # rises by one; lowering steps mirror this.  Distant colors never
         # interact.
-        for u in g.weights:
-            for i in g.colors:
-                ei_u = inn.get((u, i))
-                fi_u = out.get((u, i))
-                for j in g.colors:
-                    if i == j:
+        for i, j in permutations(colors, 2):
+            ej, fj = eps[j], phi[j]
+            for step, sign, kind in ((g.inn[i], 1, "raise"), (g.out[i], -1, "lower")):
+                for u, v in enumerate(step):
+                    if v < 0:
                         continue
-                    if ei_u is not None:
-                        d_eps = eps[(ei_u, j)] - eps[(u, j)]
-                        d_phi = phi[(ei_u, j)] - phi[(u, j)]
-                        if abs(i - j) >= 2 and (d_eps, d_phi) != (0, 0):
-                            report.fail(f"distant colors {i},{j} interact at {u}")
-                        if abs(i - j) == 1 and (d_phi, d_eps) not in ((-1, 0), (0, 1)):
-                            report.fail(f"adjacent raise deltas at {u} colors {i},{j}: "
-                                        f"{(d_phi, d_eps)}")
-                    if fi_u is not None:
-                        d_phi = phi[(fi_u, j)] - phi[(u, j)]
-                        d_eps = eps[(fi_u, j)] - eps[(u, j)]
-                        if abs(i - j) >= 2 and (d_eps, d_phi) != (0, 0):
-                            report.fail(f"distant colors {i},{j} interact at {u}")
-                        if abs(i - j) == 1 and (d_phi, d_eps) not in ((1, 0), (0, -1)):
-                            report.fail(f"adjacent lower deltas at {u} colors {i},{j}: "
-                                        f"{(d_phi, d_eps)}")
-
-        def path(step: dict, u, *colors):
-            for c in colors:
-                u = step.get((u, c)) if u is not None else None
-            return u
+                    d_phi, d_eps = fj[v] - fj[u], ej[v] - ej[u]
+                    if abs(i - j) >= 2:
+                        if d_phi or d_eps:
+                            report.fail(f"distant colors {i},{j} interact at {node[u]}")
+                    elif (sign * d_phi, sign * d_eps) not in ((-1, 0), (0, 1)):
+                        report.fail(f"adjacent {kind} deltas at {node[u]} colors {i},{j}: "
+                                    f"{(d_phi, d_eps)}")
 
         # The raising side reads (inn, eps), the lowering side (out, phi).
-        sides = ((inn, eps, "raising"), (out, phi, "lowering"))
-        for u in g.weights:
-            for i in g.colors:
-                for j in g.colors:
-                    if j <= i:
+        for step, table, kind in ((g.inn, eps, "raising"), (g.out, phi, "lowering")):
+            for i, j in combinations(sorted(colors), 2):
+                si, sj, ti, tj = step[i], step[j], table[i], table[j]
+                for u in range(len(node)):
+                    vi, vj = si[u], sj[u]
+                    if vi < 0 or vj < 0:
                         continue
-                    for step, table, kind in sides:
-                        vi, vj = step.get((u, i)), step.get((u, j))
-                        if vi is None or vj is None:
-                            continue
-                        d_i_of_j = table[(vi, j)] - table[(u, j)]
-                        d_j_of_i = table[(vj, i)] - table[(u, i)]
-                        if abs(i - j) >= 2 or (d_i_of_j == 0 and d_j_of_i == 0):
-                            ij = path(step, u, i, j)
-                            if ij is None or ij != path(step, u, j, i):
-                                report.fail(f"{kind} {i},{j} fail to commute at {u}")
-                        elif d_i_of_j == 1 and d_j_of_i == 1:
-                            left = path(step, u, i, j, j, i)
-                            if left is None or left != path(step, u, j, i, i, j):
-                                report.fail(f"{kind} braid relation fails at {u} ({i},{j})")
+                    d_i_of_j, d_j_of_i = tj[vi] - tj[u], ti[vj] - ti[u]
+                    if abs(i - j) >= 2 or (d_i_of_j == 0 and d_j_of_i == 0):
+                        if sj[vi] < 0 or sj[vi] != si[vj]:
+                            report.fail(f"{kind} {i},{j} fail to commute at {node[u]}")
+                    elif d_i_of_j == 1 and d_j_of_i == 1:
+                        left = _path(step, vi, j, j, i)
+                        if left < 0 or left != _path(step, vj, i, i, j):
+                            report.fail(f"{kind} braid relation fails at {node[u]} ({i},{j})")
 
+        inns = list(g.inn.values())
         for comp in g.components():
             report.instances += len(comp)
-            sources = sum(1 for u in comp if not any((u, c) in inn for c in g.colors))
+            sources = sum(1 for u in comp if all(inn[u] < 0 for inn in inns))
             if sources != 1:
-                report.fail(f"component of {next(iter(comp))} has {sources} highest weights")
+                report.fail(f"component of {node[comp[0]]} has {sources} highest weights")
     except _StopCheck:
         pass
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _component_characters(g: ColoredDigraph, m: int, report: CheckReport) -> None:
-    """Character of each component must be the Schur polynomial of the
-    sorted sink weight."""
-    tails = {a for a, _, _ in g.edges}
+def _path(step: dict[int, list[int]], u: int, *colors: int) -> int:
+    """The node reached from ``u`` along ``colors``, -1 once a step is missing."""
+    for c in colors:
+        u = step[c][u] if u >= 0 else -1
+    return u
+
+
+def _audit_graph(g: ColoredDigraph, m: int, report: CheckReport, where: str = "") -> None:
+    """The Stembridge audit of ``g`` plus the character of each component,
+    which must be the Schur polynomial of the sorted sink weight."""
+    sub = stembridge_audit(g)
+    report.instances += sub.instances
+    for msg in sub.failures:
+        report.fail(where + msg)
     for comp in g.components():
-        sinks = [u for u in comp if u not in tails]
+        sinks = g.sinks(comp)
         if len(sinks) != 1:
-            report.fail(f"component of {next(iter(comp))} has {len(sinks)} sinks")
+            report.fail(f"component of {g.node[comp[0]]} has {len(sinks)} sinks")
             continue
-        mu = tuple(sorted((v for v in g.weights[sinks[0]] if v), reverse=True))
-        char: dict[tuple[int, ...], int] = {}
-        for u in comp:
-            wt = tuple(g.weights[u])
-            char[wt] = char.get(wt, 0) + 1
-        if char != schur_dict(mu, m):
-            report.fail(f"component of {sinks[0]} has a non-Schur character")
+        mu = tuple(sorted((v for v in g.wt[sinks[0]] if v), reverse=True))
+        if Counter(tuple(g.wt[u]) for u in comp) != schur_dict(mu, m):
+            report.fail(f"component of {g.node[sinks[0]]} has a non-Schur character")
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +313,15 @@ def _once(table: dict, fn: Callable, x: Hashable, *args):
 
 def _check_residue_intertwining(b: Bounds, report: CheckReport) -> None:
     """res maps the tableau operators to the factorization operators; an image keeps
-    the shape, so residues are computed once per filling, keyed by the image."""
+    the shape, so residues are computed once per filling, keyed by the image, and each
+    side's bracket once per (filling, letter)."""
     for shape in skew_shapes(b):
         table: dict[SkewSetValuedTableau, DecreasingFactorization] = {}
         for t in svt_fillings(shape, b.m):
             f = _once(table, res, t, b.m)
             for i in range(1, b.m):
                 report.instances += 1
-                for tab_op, fac_op, tag in ((f_svt, f_star, "lower"),
-                                            (e_svt, e_star, "raise")):
-                    t2 = tab_op(t, i)
-                    f2 = fac_op(f, i)
+                for t2, f2, tag in zip(svt_step(t, i), star_step(f, i), ("lower", "raise")):
                     lhs = None if t2 is None else _once(table, res, t2, b.m).factors
                     rhs = None if f2 is None else f2.factors
                     if lhs != rhs:
@@ -514,34 +490,21 @@ def _check_pairing_side_conditions(b: Bounds, report: CheckReport) -> None:
 
 
 def _check_stembridge_star(b: Bounds, report: CheckReport) -> None:
-    g = build_component(fc_factorizations(b), tuple(range(1, b.m)),
-                        lower=f_star, raise_=e_star, weight=weight)
-    sub = stembridge_audit(g)
-    report.instances += sub.instances
-    report.failures.extend(sub.failures)
-    _component_characters(g, b.m, report)
+    _audit_graph(build_component(fc_factorizations(b), tuple(range(1, b.m)), star_step,
+                                 weight), b.m, report)
 
 
 def _check_stembridge_svt(b: Bounds, report: CheckReport) -> None:
     for shape in skew_shapes(b):
-        seeds = list(svt_fillings(shape, b.m))
-        g = build_component(seeds, tuple(range(1, b.m)),
-                            lower=f_svt, raise_=e_svt,
-                            weight=lambda t: weight_of(t) + (0,) * (b.m - len(weight_of(t))))
-        sub = stembridge_audit(g)
-        report.instances += sub.instances
-        for msg in sub.failures:
-            report.fail(f"{shape}: {msg}")
-        _component_characters(g, b.m, report)
+        g = build_component(svt_fillings(shape, b.m), tuple(range(1, b.m)), svt_step,
+                            lambda t: weight_of(t, b.m))
+        _audit_graph(g, b.m, report, f"{shape}: ")
 
 
 def _check_stembridge_local3(b: Bounds, report: CheckReport) -> None:
-    seeds = all_factorizations3(b.m, b.max_letters)
-    g = build_component(seeds, tuple(range(1, b.m)), lower=f3, raise_=e3, weight=weight)
-    sub = stembridge_audit(g)
-    report.instances += sub.instances
-    report.failures.extend(sub.failures)
-    _component_characters(g, b.m, report)
+    g = build_component(all_factorizations3(b.m, b.max_letters), tuple(range(1, b.m)),
+                        lambda u, c: (f3(u, c), e3(u, c)), weight)
+    _audit_graph(g, b.m, report)
 
 
 def _check_local3_consistency(b: Bounds, report: CheckReport) -> None:
@@ -583,7 +546,7 @@ def _check_grassmannian(b: Bounds, report: CheckReport) -> None:
         top = 0
         for t in svt_fillings(shape, b.m):
             d = excess_of(t)
-            wt = weight_of(t) + (0,) * (b.m - len(weight_of(t)))
+            wt = weight_of(t, b.m)
             svt_side.setdefault(d, {})
             svt_side[d][wt] = svt_side[d].get(wt, 0) + 1
             top = max(top, d)

@@ -131,10 +131,10 @@ def test_component_character_is_schur_of_sink_weight():
     assert is_fully_commutative(seed.eval())
     g = crystal_graph(seed)
     for comp in g.components():
-        sink, = g.sinks(comp)
+        sink, = (g.node[k] for k in g.sinks(comp))
         mu = tuple(sorted((v for v in weight(sink) if v), reverse=True))
         char = {}
-        for node in comp:
+        for node in (g.node[k] for k in comp):
             char[weight(node)] = char.get(weight(node), 0) + 1
         assert char == schur_dict(mu, seed.m)
 

@@ -44,3 +44,6 @@ def test_tracer_counts_tableaux_and_graph_nodes():
     for key in ("tableaux.constructions", "tableaux.hash_calls", "graphs.nodes",
                 "insertion.calls", "factorization.calls", "svt_crystal.calls"):
         assert out["metrics"][key] > 0, key
+    # Only stembridge-svt builds graphs here; these are the node and edge counts of its
+    # graphs as the edge-set representation gave them, read through the views.
+    assert (out["metrics"]["graphs.nodes"], out["metrics"]["graphs.edges"]) == (135, 100)

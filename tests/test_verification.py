@@ -4,7 +4,7 @@ from heckecrystals import mutations
 from heckecrystals.errors import ValidationError
 from heckecrystals.graphs import ColoredDigraph, build_component
 from heckecrystals.formats import parse_factorization as pf
-from heckecrystals.star_crystal import e_star, f_star
+from heckecrystals.star_crystal import star_step
 from heckecrystals.factorization import weight
 from heckecrystals.verification import (
     Bounds,
@@ -84,20 +84,22 @@ def test_mutated_insertion_case_is_caught():
 
 def test_audit_passes_on_a_component():
     seed = pf("()(2)(1)(32)")
-    g = build_component([seed], (1, 2, 3), lower=f_star, raise_=e_star, weight=weight)
+    g = build_component([seed], (1, 2, 3), star_step, weight)
     assert stembridge_audit(g).ok
 
 
 def test_audit_on_single_node():
     g = ColoredDigraph((1,), weights={"x": (1, 1)})
+    assert (g.node, g.wt, g.out, g.inn) == (["x"], [(1, 1)], {1: [-1]}, {1: [-1]})
     assert stembridge_audit(g).ok
 
 
 def test_audit_flags_a_deleted_edge():
     seed = pf("()(2)(1)(32)")
-    g = build_component([seed], (1, 2, 3), lower=f_star, raise_=e_star, weight=weight)
-    edge = sorted(g.edges, key=str)[0]
-    g.edges.discard(edge)
+    g = build_component([seed], (1, 2, 3), star_step, weight)
+    a, c, b = sorted(g.edges, key=str)[0]
+    g.out[c][g.index[a]] = g.inn[c][g.index[b]] = -1
+    assert (a, c, b) not in g.edges
     report = stembridge_audit(g)
     assert not report.ok
 
