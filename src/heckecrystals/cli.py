@@ -22,7 +22,7 @@ from .local3 import crystal_graph_local3
 from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import crystal_graph
 from .svt_crystal import crystal_graph_svt
-from .tableaux import SetValuedFilling, Tableau, pretty
+from .tableaux import Tableau, pretty
 from .uncrowding import uncrowd
 from .verification import available_checks, check_theorem, run_all
 

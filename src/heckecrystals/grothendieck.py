@@ -9,7 +9,7 @@ symmetric polynomial is always a partition exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ValidationError

@@ -55,13 +55,9 @@ class InsertionResult:
     trace: tuple[Path, ...] | None = field(default=None)
 
 
-def _straight(rows: list[list[int]]) -> SkewShape:
-    return SkewShape(tuple(len(r) for r in rows if r), ())
-
-
 def _as_tableau(rows: list[list[int]], cls: type) -> Tableau:
     rows = [r for r in rows if r]
-    return cls(_straight(rows), tuple(tuple(r) for r in rows))
+    return cls(SkewShape(tuple(map(len, rows)), ()), tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +165,7 @@ def _star_insert_cells(rows: list[list[int]], x: int) -> Path:
     return tuple(path)
 
 
-def star_insert_word(letters, labels=None, trace: bool = False,
-                     check: bool = True) -> InsertionResult:
-    """Star-insert a sequence of letters left to right.
-
-    ``labels`` (defaults to 1, 2, ...) fill the recording tableau at the
-    cells created by each insertion.
-    """
-    letters = tuple(letters)
-    if labels is None:
-        labels = tuple(range(1, len(letters) + 1))
-    if check and letters:
-        n = max(letters) + 1
-        if not is_fully_commutative(eval_word(HeckeWord(letters, n))):
-            raise DomainError(f"word {letters} is not fully commutative")
+def _star_insert_rows(letters: tuple[int, ...], labels, trace: bool) -> InsertionResult:
     rows: list[list[int]] = []
     qrows: list[list[int]] = []
     paths: list[Path] = []
@@ -200,12 +183,25 @@ def star_insert_word(letters, labels=None, trace: bool = False,
     return InsertionResult(p, q, tuple(paths) if trace else None)
 
 
+def star_insert_word(letters, labels=None, trace: bool = False) -> InsertionResult:
+    """Star-insert a fully-commutative sequence of letters left to right.
+
+    ``labels`` (defaults to 1, 2, ...) fill the recording tableau at the
+    cells created by each insertion.
+    """
+    letters = tuple(letters)
+    if letters and not is_fully_commutative(eval_word(HeckeWord(letters, max(letters) + 1))):
+        raise DomainError(f"word {letters} is not fully commutative")
+    if labels is None:
+        labels = range(1, len(letters) + 1)
+    return _star_insert_rows(letters, labels, trace)
+
+
 def star_insert(b: HeckeBiword, trace: bool = False) -> InsertionResult:
     """Star insertion of a fully-commutative decreasing Hecke biword."""
     if b.bottom and not is_fully_commutative(b.eval()):
         raise DomainError(f"biword {b} is not fully commutative")
-    return star_insert_word(tuple(reversed(b.bottom)), tuple(reversed(b.top)),
-                            trace=trace, check=False)
+    return _star_insert_rows(tuple(reversed(b.bottom)), tuple(reversed(b.top)), trace)
 
 
 def star_insert_one(p: RowIncreasingTableau, x: int) -> tuple[RowIncreasingTableau, Path]:

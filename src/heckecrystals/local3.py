@@ -22,16 +22,17 @@ from .errors import ValidationError
 from .factorization import DecreasingFactorization, weight
 from .graphs import ColoredDigraph, build_component
 
-__all__ = ["PairCounter", "pairing3", "f3", "e3", "phi3", "epsilon3",
+__all__ = ["PairCounter", "pairing3", "f3", "e3", "step3", "phi3", "epsilon3",
            "crystal_graph_local3", "all_factorizations3"]
 
-_EMPTY: tuple[int, ...] = ()
+Block = tuple[int, ...]
+Letter = tuple[int, int]   # (block index, letter value)
+
+_EMPTY: Block = ()
 _ONE = (1,)
 _TWO = (2,)
 _BOTH = (2, 1)
 _BLOCKS = (_EMPTY, _ONE, _TWO, _BOTH)
-
-Letter = tuple[int, int]   # (block index, letter value)
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,8 @@ def pairing3(f: DecreasingFactorization) -> PairCounter:
     return PairCounter(tuple(prefix), tuple(pairs), unpaired)
 
 
-def _two_block_lower(upper: tuple[int, ...], lower: tuple[int, ...],
-                     even: bool) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    if upper == _BOTH or lower == _EMPTY:
-        return None
-    if upper == lower:
+def _two_block_lower(upper: Block, lower: Block, even: bool) -> tuple[Block, Block] | None:
+    if upper == _BOTH or lower == _EMPTY or upper == lower:
         return None
     if upper == _ONE and lower == _BOTH:
         return _BOTH, _TWO
@@ -126,49 +124,41 @@ def _two_block_lower(upper: tuple[int, ...], lower: tuple[int, ...],
     raise AssertionError(f"unhandled blocks {upper} {lower}")
 
 
-def _two_block_raise(upper: tuple[int, ...], lower: tuple[int, ...],
-                     even: bool) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    if lower == _BOTH or upper == _EMPTY:
-        return None
-    if upper == lower:
-        return None
-    if upper == _BOTH and lower == _TWO:
-        return _ONE, _BOTH
-    if upper == _BOTH and lower == _ONE:
-        return _TWO, _BOTH
-    if lower == _EMPTY and upper in (_ONE, _TWO):
-        return _EMPTY, upper
-    if upper == _BOTH and lower == _EMPTY:
-        return (_TWO, _ONE) if even else (_ONE, _TWO)
-    if upper == _TWO and lower == _ONE:
-        return (_EMPTY, _BOTH) if even else None
-    if upper == _ONE and lower == _TWO:
-        return None if even else (_EMPTY, _BOTH)
-    raise AssertionError(f"unhandled blocks {upper} {lower}")
+# e3 is the partial inverse of f3 at the same parity: a move changes only
+# blocks i and i+1, so the pair count of blocks 1..i-1 stays, and at each
+# parity the lowering moves are one-to-one.
+_RAISE = {(*moved, even): (upper, lower)
+          for upper in _BLOCKS for lower in _BLOCKS for even in (True, False)
+          if (moved := _two_block_lower(upper, lower, even)) is not None}
+
+
+def _moves(f: DecreasingFactorization, i: int):
+    """The lowering and the raising move of blocks ``i+1`` and ``i``, from one pairing."""
+    if not 1 <= i < f.m:
+        raise ValidationError(f"operator index {i} outside [1, {f.m - 1}]")
+    key = (f.factor(i + 1), f.factor(i), pairing3(f).count(1, i - 1) % 2 == 0)
+    return _two_block_lower(*key), _RAISE.get(key)
+
+
+def _image(f: DecreasingFactorization, i: int, moved) -> DecreasingFactorization | None:
+    return None if moved is None else f.replace_factors({i + 1: moved[0], i: moved[1]})
 
 
 def f3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Lowering operator on blocks ``i`` and ``i+1``."""
-    if not 1 <= i < f.m:
-        raise ValidationError(f"operator index {i} outside [1, {f.m - 1}]")
-    even = pairing3(f).count(1, i - 1) % 2 == 0
-    moved = _two_block_lower(f.factor(i + 1), f.factor(i), even)
-    if moved is None:
-        return None
-    upper, lower = moved
-    return f.replace_factors({i + 1: upper, i: lower})
+    return _image(f, i, _moves(f, i)[0])
 
 
 def e3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Raising operator, the partial inverse of :func:`f3`."""
-    if not 1 <= i < f.m:
-        raise ValidationError(f"operator index {i} outside [1, {f.m - 1}]")
-    even = pairing3(f).count(1, i - 1) % 2 == 0
-    moved = _two_block_raise(f.factor(i + 1), f.factor(i), even)
-    if moved is None:
-        return None
-    upper, lower = moved
-    return f.replace_factors({i + 1: upper, i: lower})
+    return _image(f, i, _moves(f, i)[1])
+
+
+def step3(f: DecreasingFactorization, i: int
+          ) -> tuple[DecreasingFactorization | None, DecreasingFactorization | None]:
+    """``(f3(f, i), e3(f, i))`` from one pairing."""
+    lowering, raising = _moves(f, i)
+    return _image(f, i, lowering), _image(f, i, raising)
 
 
 def phi3(f: DecreasingFactorization, i: int) -> int:
@@ -189,8 +179,7 @@ def epsilon3(f: DecreasingFactorization, i: int) -> int:
 
 def crystal_graph_local3(seed: DecreasingFactorization) -> ColoredDigraph:
     _check_blocks(seed)
-    return build_component([seed], tuple(range(1, seed.m)),
-                           lambda u, c: (f3(u, c), e3(u, c)), weight)
+    return build_component([seed], tuple(range(1, seed.m)), step3, weight)
 
 
 def all_factorizations3(m: int, max_letters: int) -> list[DecreasingFactorization]:

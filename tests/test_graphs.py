@@ -6,7 +6,7 @@ import pytest
 from heckecrystals.errors import ValidationError
 from heckecrystals.factorization import weight
 from heckecrystals.graphs import build_component
-from heckecrystals.local3 import all_factorizations3, e3, f3
+from heckecrystals.local3 import all_factorizations3, e3, f3, step3
 from heckecrystals.star_crystal import e_star, f_star, star_step
 from heckecrystals.svt_crystal import e_svt, f_svt, svt_step
 from heckecrystals.tableaux import weight_of
@@ -61,23 +61,21 @@ def test_graph_matches_naive_recomputation(seeds, colors, lower, raise_, wt):
     assert sorted(k for comp in g.components() for k in comp) == list(range(len(g.node)))
 
 
-def test_svt_step_is_both_operators():
-    count = 0
-    for shape in skew_shapes(Bounds(m=3, max_cells=3, max_rows=3, max_cols=3)):
-        for t in svt_fillings(shape, 3):
-            for i in (1, 2):
-                count += 1
-                assert svt_step(t, i) == (f_svt(t, i), e_svt(t, i))
-    assert count > 1000
+def _step_cases():
+    fillings = [t for shape in skew_shapes(Bounds(m=3, max_cells=3, max_rows=3, max_cols=3))
+                for t in svt_fillings(shape, 3)]
+    yield pytest.param(fillings, (1, 2), svt_step, f_svt, e_svt, 1000, id="svt")
+    yield pytest.param(list(fc_factorizations(Bounds(n=4, m=3))), (1, 2), star_step, f_star,
+                       e_star, 100, id="star")
+    yield pytest.param(all_factorizations3(4, 4), (1, 2, 3), step3, f3, e3, 300, id="local3")
 
 
-def test_star_step_is_both_operators():
-    count = 0
-    for f in fc_factorizations(Bounds(n=4, m=3)):
-        for i in (1, 2):
-            count += 1
-            assert star_step(f, i) == (f_star(f, i), e_star(f, i))
-    assert count > 100
+@pytest.mark.parametrize("nodes, colors, step, lower, raise_, at_least", _step_cases())
+def test_step_is_both_operators(nodes, colors, step, lower, raise_, at_least):
+    pairs = [(u, c) for u in nodes for c in colors]
+    assert len(pairs) > at_least
+    for u, c in pairs:
+        assert step(u, c) == (lower(u, c), raise_(u, c))
 
 
 def test_wrong_preimage_is_flagged_on_insertion():

@@ -55,7 +55,10 @@ def test_unknown_check_rejected():
 
 
 def test_deep_profile_differs():
-    assert default_bounds("star-bijection", deep=True) != default_bounds("star-bijection")
+    deeper = {name for name in available_checks()
+              if default_bounds(name, deep=True) != default_bounds(name)}
+    assert deeper == {"residue-intertwining", "star-bijection", "stembridge-svt",
+                      "uncrowding-compat"}
 
 
 def test_reports_are_order_independent():
@@ -68,6 +71,23 @@ def test_mutated_star_operator_is_caught():
     with mutations.mutation(mutations.FSTAR_NEIGHBOR_CASE_OFF):
         report = check_theorem("operator-rewrites", SMALL["operator-rewrites"])
     assert not report.ok
+
+
+def test_witnesses_are_capped_at_fifty():
+    with mutations.mutation(mutations.FSTAR_NEIGHBOR_CASE_OFF):
+        report = check_theorem("residue-intertwining", SMALL["residue-intertwining"])
+    assert report.instances == 1234
+    assert len(report.failures) == 51
+    assert all(w.startswith(("lower ", "raise ")) for w in report.failures[:50])
+    assert report.failures[50] == "... further failures suppressed"
+
+
+def test_raising_operator_becomes_one_exception_witness():
+    with mutations.mutation(mutations.FSTAR_NEIGHBOR_CASE_OFF):
+        report = check_theorem("recording-intertwining", SMALL["recording-intertwining"])
+    assert report.instances == 57
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("exception: DomainError(")
 
 
 def test_mutated_svt_operator_is_caught():
@@ -141,3 +161,23 @@ def test_uncrowding_compat_inverts_each_residue_once(monkeypatch):
     assert report.ok and report.instances > 100
     assert len(calls) == report.instances
     assert len({f.factors for f in calls}) == report.instances
+
+
+def test_local3_graph_pairs_each_node_once_per_color(monkeypatch):
+    from heckecrystals import local3
+
+    b = SMALL["stembridge-local3"]
+    calls = _counting(monkeypatch, [local3], "pairing3")
+    report = check_theorem("stembridge-local3", b)
+    assert report.ok and report.instances == len(local3.all_factorizations3(b.m, b.max_letters))
+    assert len(calls) == report.instances * (b.m - 1)
+
+
+def test_operator_rewrites_pairs_once_per_letter(monkeypatch):
+    from heckecrystals import star_crystal
+    from heckecrystals.verification import fc_factorizations
+
+    b = SMALL["operator-rewrites"]
+    calls = _counting(monkeypatch, [star_crystal], "pairing")
+    assert check_theorem("operator-rewrites", b).ok
+    assert len(calls) == len(list(fc_factorizations(b))) * (b.m - 1)
