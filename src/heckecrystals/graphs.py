@@ -25,8 +25,7 @@ class ColoredDigraph:
     maps a node to its id.  A second, different edge out of or into a node
     is kept out of the maps and recorded in ``conflicts``."""
 
-    def __init__(self, colors: Sequence[int],
-                 weights: dict[Hashable, tuple[int, ...]] | None = None) -> None:
+    def __init__(self, colors: Sequence[int]) -> None:
         self.colors = tuple(colors)
         self.node: list[Hashable] = []
         self.index: dict[Hashable, int] = {}
@@ -34,8 +33,6 @@ class ColoredDigraph:
         self.out: dict[int, list[int]] = {c: [] for c in self.colors}
         self.inn: dict[int, list[int]] = {c: [] for c in self.colors}
         self.conflicts: list[str] = []
-        for u, w in (weights or {}).items():
-            self._add(u, w)
 
     def _add(self, u: Hashable, w: tuple[int, ...]) -> int:
         k = self.index[u] = len(self.node)

@@ -9,6 +9,7 @@ symmetric polynomial is always a partition exponent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from .errors import DomainError, ValidationError
 from .factorization import enumerate_factorizations, excess, weight
 from .hecke import HeckeElement, is_fully_commutative
 from .star_crystal import f_star
+from .tableaux import SkewShape, svt_fillings, weight_of
 
 __all__ = [
     "BetaSchurSeries",
@@ -24,7 +26,6 @@ __all__ = [
     "schur_expand",
     "schur_coeffs_via_crystal",
     "grassmannian_element",
-    "ssyt_fillings",
 ]
 
 Poly = dict[tuple[int, ...], int]
@@ -52,40 +53,6 @@ class BetaSchurSeries:
         return hash((self.m, self.truncation, frozenset(self.coeffs.items())))
 
 
-def ssyt_fillings(mu: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All semistandard fillings of the straight shape ``mu`` with
-    entries at most ``m``, as row tuples (bottom row first)."""
-    if len(mu) > m:
-        return []
-
-    def rows(i: int, below: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-        if i == len(mu):
-            return [[]]
-        width = mu[i]
-        fills: list[tuple[int, ...]] = []
-
-        def fill(row: list[int], j: int) -> None:
-            if j == width:
-                fills.append(tuple(row))
-                return
-            lo = row[j - 1] if j else 1
-            if j < len(below):
-                lo = max(lo, below[j] + 1)
-            for v in range(lo, m + 1):
-                row.append(v)
-                fill(row, j + 1)
-                row.pop()
-
-        fill([], 0)
-        out = []
-        for f in fills:
-            for rest in rows(i + 1, f):
-                out.append([f] + rest)
-        return out
-
-    return [tuple(r) for r in rows(0, ())]
-
-
 # Far above the 53 shapes that ``verify --theorem all`` expands at the
 # default bounds, so that run never evicts; deeper bounds stay bounded.
 _SCHUR_CACHE_SIZE = 1 << 12
@@ -94,14 +61,7 @@ _SCHUR_CACHE_SIZE = 1 << 12
 @lru_cache(maxsize=_SCHUR_CACHE_SIZE)
 def schur_poly(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Schur polynomial as a sorted tuple of (exponent, coefficient)."""
-    poly: Poly = {}
-    for filling in ssyt_fillings(mu, m):
-        expo = [0] * m
-        for row in filling:
-            for v in row:
-                expo[v - 1] += 1
-        key = tuple(expo)
-        poly[key] = poly.get(key, 0) + 1
+    poly = Counter(weight_of(t, m) for t in svt_fillings(SkewShape(mu), m, max_excess=0))
     return tuple(sorted(poly.items()))
 
 

@@ -183,7 +183,7 @@ def _star_insert_rows(letters: tuple[int, ...], labels, trace: bool) -> Insertio
     return InsertionResult(p, q, tuple(paths) if trace else None)
 
 
-def star_insert_word(letters, labels=None, trace: bool = False) -> InsertionResult:
+def star_insert_word(letters, labels=None) -> InsertionResult:
     """Star-insert a fully-commutative sequence of letters left to right.
 
     ``labels`` (defaults to 1, 2, ...) fill the recording tableau at the
@@ -194,7 +194,7 @@ def star_insert_word(letters, labels=None, trace: bool = False) -> InsertionResu
         raise DomainError(f"word {letters} is not fully commutative")
     if labels is None:
         labels = range(1, len(letters) + 1)
-    return _star_insert_rows(letters, labels, trace)
+    return _star_insert_rows(letters, labels, False)
 
 
 def star_insert(b: HeckeBiword, trace: bool = False) -> InsertionResult:

@@ -35,9 +35,8 @@ __all__ = ["Signature", "signature", "svt_step", "f_svt", "e_svt", "phi_svt", "e
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-column signs for one letter, with the surviving brackets."""
+    """The columns of one letter's signature left unbracketed."""
 
-    signs: tuple[str, ...]              # one of "-", "+", "" per column
     unpaired_minus: tuple[int, ...]     # column indices, left to right
     unpaired_plus: tuple[int, ...]
 
@@ -48,7 +47,6 @@ def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
     flat = t.flat()
     if isinstance(t, Tableau):
         flat = tuple((v,) for v in flat)
-    signs: list[str] = []
     minus: list[int] = []
     plus_stack: list[int] = []
     for j, column in enumerate(t.shape.geometry.columns, start=1):
@@ -60,17 +58,14 @@ def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
             if i + 1 in cell:
                 has_i1 = True
         if has_i == has_i1:
-            signs.append("")
-        elif has_i:
-            signs.append("-")
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                minus.append(j)
-        else:
-            signs.append("+")
+            continue
+        if not has_i:
             plus_stack.append(j)
-    return Signature(tuple(signs), tuple(minus), tuple(plus_stack))
+        elif plus_stack:
+            plus_stack.pop()
+        else:
+            minus.append(j)
+    return Signature(tuple(minus), tuple(plus_stack))
 
 
 def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,

@@ -19,19 +19,23 @@ change (:meth:`_Filling.with_cells`) cells through it, and cache their hash.
 Every constructor validates, with one walk over the cells that meets each
 cell together with its right and upper neighbours; each tableau class
 states only whether rows and columns increase weakly or strictly.
-Validation stays in the constructors instead of moving to the input
-boundary: operators, insertion and uncrowding build their results through
-the same constructors, so a broken operator fails where it builds a bad
-tableau.  A trusted constructor would be a second construction path, and
-it would let exactly the faults that the mutation tests inject pass
-unseen.
+Operators, insertion and uncrowding build the tableaux they return
+through the same constructors, so a broken operator fails where it
+returns a bad tableau; their intermediate steps work on plain lists of
+rows and build none.  A trusted constructor would be a second
+construction path, and it would let exactly the faults that the mutation
+tests inject pass unseen.
+
+:func:`svt_fillings` is the one enumerator of fillings: every
+semistandard set-valued filling of a shape, the semistandard tableaux
+among them with ``max_excess=0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Any, ClassVar, Iterator, Mapping
 
 from .errors import ValidationError
@@ -50,6 +54,7 @@ __all__ = [
     "weight_of",
     "excess_of",
     "row_word",
+    "svt_fillings",
 ]
 
 
@@ -382,3 +387,32 @@ def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
     except KeyError as exc:
         raise ValidationError(f"missing cell {exc.args[0]}") from None
     return cls(shape, rows)
+
+
+def svt_fillings(shape: SkewShape, m: int,
+                 max_excess: int | None = None) -> Iterator[SkewSetValuedTableau]:
+    """Every semistandard set-valued filling of ``shape`` with entries at
+    most ``m`` (and bounded surplus when requested)."""
+    geo = shape.geometry
+    largest = m if max_excess is None else min(m, max_excess + 1)
+    subsets = [s for r in range(1, largest + 1) for s in combinations(range(1, m + 1), r)]
+    before = [(geo.index.get((i, j - 1)), geo.index.get((i - 1, j))) for i, j in geo.cells]
+    flat: list[tuple[int, ...]] = []
+
+    def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
+        if len(flat) == len(before):
+            yield from_cells(shape, dict(zip(geo.cells, flat)))
+            return
+        left, below = before[len(flat)]
+        lo = flat[left][-1] if left is not None else 1
+        strict_lo = flat[below][-1] if below is not None else 0
+        for s in subsets:
+            surplus = extra + len(s) - 1
+            if s[0] < lo or s[0] <= strict_lo or (max_excess is not None
+                                                   and surplus > max_excess):
+                continue
+            flat.append(s)
+            yield from rec(surplus)
+            flat.pop()
+
+    yield from rec(0)

@@ -7,21 +7,24 @@ all single-valued).  The recording side collects, for every step, the
 vertical travel distance of the removed letter into a flagged
 increasing tableau on the new cells.
 
-``star_tilde`` reconciles this with insertion: it appends the residue of
-the minimal filling of the inner shape to a factorization, star-inserts
-the product, and strips that minimal filling from the recording tableau.
+``star_tilde`` reconciles this with insertion: it star-inserts the
+minimal filling of the inner shape, read as diagonal labels of its cells,
+ahead of the factorization, and strips that minimal filling from both
+tableaux.
+
+Both work on plain lists of rows; only the tableaux they return are
+built, and so validated.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .factorization import DecreasingFactorization, HeckeBiword, to_biword
-from .insertion import InsertionResult, star_insert
+from .factorization import DecreasingFactorization, to_biword
+from .insertion import InsertionResult, star_insert, star_insert_word
 from .residue import res_inv
 from .tableaux import (
     FlaggedIncreasingTableau,
     SemistandardTableau,
-    SetValuedFilling,
     SkewSetValuedTableau,
     SkewShape,
     Tableau,
@@ -31,57 +34,61 @@ from .tableaux import (
 __all__ = ["uncrowd_step", "uncrowd", "t_mu", "star_tilde"]
 
 
-def _topmost_multicell_row(t: SetValuedFilling) -> int | None:
-    return max((i for i, row in enumerate(t.rows, start=1) if any(len(c) > 1 for c in row)),
-               default=None)
+def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int]
+                  ) -> tuple[tuple[int, int], int] | None:
+    """One uncrowding step on ``rows`` (ascending cell lists) and their
+    ``outer`` lengths, in place.  Returns the added cell and the row the
+    removed letter came from, or None once no multicell is left."""
+    r = max((i for i, row in enumerate(rows, start=1) if any(len(c) > 1 for c in row)),
+            default=None)
+    if r is None:
+        return None
+    _, k = max((cell[-1], k) for k, cell in enumerate(rows[r - 1]) if len(cell) > 1)
+    x = rows[r - 1][k].pop()
+
+    # Bump x up through the single-valued rows above r; the letter that
+    # finds no larger entry ends its row (or opens a new one).
+    i = r
+    while i < len(rows):
+        cell = next((cell for cell in rows[i] if cell[0] > x), None)
+        if cell is None:
+            break
+        cell[0], x = x, cell[0]
+        i += 1
+    if i == len(rows):
+        rows.append([])
+        outer.append(0)
+    rows[i].append([x])
+    outer[i] += 1
+    return (i + 1, outer[i]), r
+
+
+def _lists(t: SkewSetValuedTableau) -> tuple[list[list[list[int]]], list[int]]:
+    return [[list(cell) for cell in row] for row in t.rows], list(t.shape.outer)
 
 
 def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[int, int], int]:
     """One uncrowding step.  Returns the new tableau, the added cell and
     the row the removed letter came from."""
-    r = _topmost_multicell_row(t)
-    if r is None:
+    rows, outer = _lists(t)
+    step = _uncrowd_rows(rows, outer)
+    if step is None:
         raise ValidationError("tableau has no multicell")
-    rows = [[list(cell) for cell in row] for row in t.rows]
-    outer = list(t.shape.outer)
-    x, k = max((cell[-1], k) for k, cell in enumerate(rows[r - 1]) if len(cell) > 1)
-    rows[r - 1][k].remove(x)
-
-    # Bump x up through the rows above r; a bump stays inside its row, so
-    # the letter that finds no larger entry ends its row (or opens a new one).
-    i = r + 1
-    while i <= len(rows):
-        cell = next((cell for cell in rows[i - 1] if min(cell) > x), None)
-        if cell is None:
-            break
-        y = min(cell)
-        cell.remove(y)
-        cell.append(x)
-        x = y
-        i += 1
-    if i > len(rows):
-        rows.append([])
-        outer.append(0)
-    rows[i - 1].append([x])
-    outer[i - 1] += 1
-
     shape = SkewShape(tuple(outer), t.shape.inner)
-    new_rows = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in rows)
-    return SkewSetValuedTableau(shape, new_rows), (i, outer[i - 1]), r
+    return SkewSetValuedTableau(shape, tuple(tuple(map(tuple, row)) for row in rows)), *step
 
 
 def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncreasingTableau]:
     """Full uncrowding: a single-valued semistandard tableau together
     with the flagged recording tableau on the added cells."""
+    rows, outer = _lists(t)
     recording: dict[tuple[int, int], int] = {}
-    cur = t
-    while _topmost_multicell_row(cur) is not None:
-        cur, added, source = uncrowd_step(cur)
+    while (step := _uncrowd_rows(rows, outer)) is not None:
+        added, source = step
         recording[added] = added[0] - source
-    p_rows = tuple(tuple(cell[0] for cell in row) for row in cur.rows)
-    p = SemistandardTableau(cur.shape, p_rows)
-    q_shape = SkewShape(cur.shape.outer, t.shape.outer)
-    q = from_cells(q_shape, recording, FlaggedIncreasingTableau)
+    shape = SkewShape(tuple(outer), t.shape.inner)
+    p = SemistandardTableau(shape, tuple(tuple(cell[0] for cell in row) for row in rows))
+    q = from_cells(SkewShape(shape.outer, t.shape.outer), recording, FlaggedIncreasingTableau)
     return p, q
 
 
@@ -91,52 +98,34 @@ def t_mu(mu: tuple[int, ...]) -> SemistandardTableau:
     return SemistandardTableau(shape, tuple((i + 1,) * p for i, p in enumerate(mu)))
 
 
-def _product_biword(f: DecreasingFactorization, g: DecreasingFactorization) -> HeckeBiword:
-    """Biword of the concatenation ``f . g`` where the blocks of ``g``
-    take indices 1..g.m and those of ``f`` are shifted above them."""
-    n = max(f.n, g.n)
-    bf, bg = to_biword(f), to_biword(g)
-    top = tuple(k + g.m for k in bf.top) + bg.top
-    return HeckeBiword(top, bf.bottom + bg.bottom, n, f.m + g.m)
-
-
-def _padding(mu: tuple[int, ...], ambient_rows: int) -> DecreasingFactorization:
-    """The residue of the minimal filling of ``mu`` sitting inside an
-    ambient diagram with ``ambient_rows`` rows: block ``k`` covers the
-    diagonal labels of the cells of row ``k``."""
-    factors = []
-    for k in range(len(mu), 0, -1):
-        factors.append(tuple(range(ambient_rows - k + mu[k - 1], ambient_rows - k, -1)))
-    n = max((c for blk in factors for c in blk), default=0) + 1
-    return DecreasingFactorization(tuple(factors), max(n, 1))
-
-
-def star_tilde(f: DecreasingFactorization, trace: bool = False) -> InsertionResult:
+def star_tilde(f: DecreasingFactorization) -> InsertionResult:
     """Star insertion normalized by the inner shape of the canonical
     preimage of ``f`` under the residue map."""
-    return _star_tilde(f, res_inv(f), trace)
+    return _star_tilde(f, res_inv(f))
 
 
-def _star_tilde(f: DecreasingFactorization, canonical: SkewSetValuedTableau,
-                trace: bool = False) -> InsertionResult:
-    """:func:`star_tilde` of ``f``, given its canonical preimage ``res_inv(f)``."""
+def _star_tilde(f: DecreasingFactorization, canonical: SkewSetValuedTableau) -> InsertionResult:
+    """:func:`star_tilde` of ``f``, given its canonical preimage ``res_inv(f)``.
+
+    Row ``k`` of the inner shape ``mu`` is inserted first, as the diagonal
+    labels ``rows - k + j`` of its cells in the ambient diagram and with
+    label ``k``; the labels of ``f`` are shifted above them."""
     mu = canonical.shape.inner
     if not mu:
-        return star_insert(to_biword(f), trace=trace)
-    lm = len(mu)
-    pad = _padding(mu, canonical.shape.rows)
-    result = star_insert(_product_biword(f, pad), trace=trace)
-    p_star, q_star = result.p, result.q
-    outer = p_star.shape.outer
-    if len(outer) < lm or any(outer[i] < mu[i] for i in range(lm)):
-        raise ValidationError("insertion tableau does not contain the inner shape")
-    for i in range(1, lm + 1):
-        for j in range(1, mu[i - 1] + 1):
-            if q_star.cell(i, j) != i:
-                raise ValidationError(
-                    f"recording tableau does not contain the minimal filling at ({i},{j})")
-    skew = SkewShape(outer, mu)
-    q = from_cells(skew, {(i, j): v - lm for i, j, v in q_star.cells() if (i, j) in skew},
-                   SemistandardTableau)
-    p = from_cells(skew, {(i, j): v for i, j, v in p_star.cells() if (i, j) in skew}, Tableau)
-    return InsertionResult(p, q, result.trace)
+        return star_insert(to_biword(f))
+    lm, ambient = len(mu), canonical.shape.rows
+    letters = [ambient - k + j for k in range(1, lm + 1) for j in range(1, mu[k - 1] + 1)]
+    labels = [k for k in range(1, lm + 1) for _ in range(mu[k - 1])]
+    b = to_biword(f)
+    result = star_insert_word(letters + list(reversed(b.bottom)),
+                              labels + [k + lm for k in reversed(b.top)])
+    skew = SkewShape(result.p.shape.outer, mu)   # raises unless P contains mu
+    for i, (row, a) in enumerate(zip(result.q.rows, mu), start=1):
+        if row[:a] != (i,) * a:
+            raise ValidationError(f"recording tableau does not contain the minimal filling "
+                                  f"in row {i}")
+    offsets = skew.geometry.offsets
+    q = SemistandardTableau(skew, tuple(tuple(v - lm for v in row[a:])
+                                        for row, a in zip(result.q.rows, offsets)))
+    p = Tableau(skew, tuple(row[a:] for row, a in zip(result.p.rows, offsets)))
+    return InsertionResult(p, q)

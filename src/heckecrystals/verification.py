@@ -41,7 +41,7 @@ from .residue import res, res_inv
 from .star_crystal import f_star, pairing, star_step
 from .svt_crystal import f_classical, f_svt, svt_step
 from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
-                       from_cells, weight_of)
+                       row_word, svt_fillings, weight_of)
 from .uncrowding import _star_tilde, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
@@ -134,34 +134,6 @@ def skew_shapes(b: Bounds) -> Iterator[SkewShape]:
                 continue
             if 1 <= sh.size() <= b.max_cells:
                 yield sh
-
-
-def svt_fillings(shape: SkewShape, m: int,
-                 max_excess: int | None = None) -> Iterator[SkewSetValuedTableau]:
-    """Every semistandard set-valued filling of ``shape`` with entries at
-    most ``m`` (and bounded surplus when requested)."""
-    geo = shape.geometry
-    subsets = [s for r in range(1, m + 1) for s in combinations(range(1, m + 1), r)]
-    before = [(geo.index.get((i, j - 1)), geo.index.get((i - 1, j))) for i, j in geo.cells]
-    flat: list[tuple[int, ...]] = []
-
-    def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
-        if len(flat) == len(before):
-            yield from_cells(shape, dict(zip(geo.cells, flat)))
-            return
-        left, below = before[len(flat)]
-        lo = flat[left][-1] if left is not None else 1
-        strict_lo = flat[below][-1] if below is not None else 0
-        for s in subsets:
-            surplus = extra + len(s) - 1
-            if s[0] < lo or s[0] <= strict_lo or (max_excess is not None
-                                                   and surplus > max_excess):
-                continue
-            flat.append(s)
-            yield from rec(surplus)
-            flat.pop()
-
-    yield from rec(0)
 
 
 def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:
@@ -367,9 +339,8 @@ def _check_star_bijection(b: Bounds) -> Witnesses:
         biword = to_biword(f)
         result = star_insert(biword)
         word = f.flatten()
-        p_word = tuple(v for row in reversed(result.p.rows) for v in row)
         insertion_order = tuple(reversed(word.letters))
-        if word.letters and eval_word(HeckeWord(p_word, f.n)) != eval_word(
+        if word.letters and eval_word(row_word(result.p, f.n)) != eval_word(
                 HeckeWord(insertion_order, f.n)):
             yield f"row word of P not equivalent for {f}"
             continue

@@ -23,20 +23,19 @@ T = SkewSetValuedTableau(SkewShape((2, 1), ()), (((1,), (1, 2, 3)), ((3,),)))
 
 def test_signature_of_example():
     sig = signature(T, 1)
-    assert sig.signs == ("-", "")
     assert sig.unpaired_minus == (1,)
     assert sig.unpaired_plus == ()
 
 
 def test_signature_without_the_letters():
     sig = signature(T, 4)
-    assert sig.signs == ("", "")
     assert sig.unpaired_minus == sig.unpaired_plus == ()
 
 
 def _reference_signature(t, i: int) -> tuple:
-    """The bracket rule on per-column letter sets, with the columns read off
-    ``rows`` and the inner partition directly."""
+    """The unpaired minus and plus columns of the bracket rule on per-column
+    letter sets, with the columns read off ``rows`` and the inner partition
+    directly."""
     inner = t.shape.inner
     cols = [set() for _ in range(max(t.shape.outer, default=0))]
     for r, row in enumerate(t.rows):
@@ -54,7 +53,7 @@ def _reference_signature(t, i: int) -> tuple:
                 plus.pop()
             else:
                 minus.append(j)
-    return signs, tuple(minus), tuple(plus)
+    return tuple(minus), tuple(plus)
 
 
 def test_signature_agrees_with_per_column_sets():
@@ -68,7 +67,7 @@ def test_signature_agrees_with_per_column_sets():
     def check(t, m):
         for i in range(1, m + 1):
             sig = signature(t, i)
-            assert (sig.signs, sig.unpaired_minus, sig.unpaired_plus) == \
+            assert (sig.unpaired_minus, sig.unpaired_plus) == \
                 _reference_signature(t, i), (t.rows, i)
 
     subsets = [s for r in (1, 2, 3) for s in combinations((1, 2, 3), r)]

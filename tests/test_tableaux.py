@@ -1,7 +1,6 @@
 import pytest
 
 from heckecrystals.errors import ValidationError
-from heckecrystals.grothendieck import ssyt_fillings
 from heckecrystals.tableaux import (
     FlaggedIncreasingTableau,
     IncreasingTableau,
@@ -13,9 +12,10 @@ from heckecrystals.tableaux import (
     Tableau,
     excess_of,
     row_word,
+    svt_fillings,
     weight_of,
 )
-from heckecrystals.verification import Bounds, skew_shapes, svt_fillings
+from heckecrystals.verification import Bounds, skew_shapes
 
 
 def test_shape_containment_checked():
@@ -176,10 +176,16 @@ def _transpose(t: Tableau) -> Tableau:
     return Tableau(SkewShape(tuple(len(r) for r in rows), ()), tuple(rows))
 
 
+def _ssyt(mu: tuple[int, ...], m: int) -> list[SemistandardTableau]:
+    """The semistandard tableaux of the straight shape ``mu`` with entries at most ``m``."""
+    shape = SkewShape(mu, ())
+    return [SemistandardTableau(shape, tuple(tuple(c[0] for c in row) for row in t.rows))
+            for t in svt_fillings(shape, m, max_excess=0)]
+
+
 @pytest.mark.parametrize("mu", [(2, 1), (2, 2), (3, 1), (1, 1, 1)])
 def test_transpose_of_semistandard_is_row_increasing(mu):
-    for rows in ssyt_fillings(mu, 3):
-        t = SemistandardTableau(SkewShape(mu, ()), rows)
+    for t in _ssyt(mu, 3):
         tt = _transpose(t)
         RowIncreasingTableau(tt.shape, tt.rows)  # validates
         back = _transpose(tt)
@@ -190,8 +196,7 @@ def test_minimal_filling_is_unique_with_its_weight():
     from heckecrystals.uncrowding import t_mu
 
     for mu in [(1,), (2,), (2, 1), (3, 2, 1), (2, 2, 2)]:
-        matches = [rows for rows in ssyt_fillings(mu, len(mu))
-                   if weight_of(SemistandardTableau(SkewShape(mu, ()), rows)) == mu]
+        matches = [t.rows for t in _ssyt(mu, len(mu)) if weight_of(t) == mu]
         assert matches == [t_mu(mu).rows]
 
 

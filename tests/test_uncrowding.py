@@ -1,16 +1,27 @@
 import pytest
 
+from heckecrystals import tableaux
 from heckecrystals.errors import ValidationError
+from heckecrystals.factorization import DecreasingFactorization, HeckeBiword, to_biword
 from heckecrystals.formats import parse_factorization as pf
-from heckecrystals.residue import res
+from heckecrystals.insertion import InsertionResult, star_insert
+from heckecrystals.residue import res, res_inv
 from heckecrystals.tableaux import (
     FlaggedIncreasingTableau,
+    SemistandardTableau,
     SkewSetValuedTableau,
     SkewShape,
+    Tableau,
     excess_of,
+    from_cells,
+    svt_fillings,
     weight_of,
 )
 from heckecrystals.uncrowding import star_tilde, t_mu, uncrowd, uncrowd_step
+from heckecrystals.verification import Bounds, skew_shapes
+
+# the SMALL bounds of uncrowding-compat in tests/test_verification.py
+SMALL = Bounds(m=3, max_cells=3, max_rows=3, max_cols=3, max_excess=2)
 
 BIG = SkewSetValuedTableau(
     SkewShape((6, 3, 3, 1), ()),
@@ -115,3 +126,78 @@ def test_star_tilde_sink_gives_lowest_weight_recording():
         assert all(wt[i] <= wt[i + 1] for i in range(len(wt) - 1))
         checked += 1
     assert checked > 10
+
+
+def test_uncrowd_builds_only_its_results(monkeypatch):
+    built = []
+    validate = tableaux._Filling.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        validate(self)
+
+    monkeypatch.setattr(tableaux._Filling, "__post_init__", counting)
+    uncrowd(BIG)
+    assert built == ["SemistandardTableau", "FlaggedIncreasingTableau"]
+
+
+def _uncrowd_by_steps(t):
+    """Full uncrowding as repeated validated steps."""
+    recording, cur = {}, t
+    while any(len(c) > 1 for _, _, c in cur.cells()):
+        cur, added, source = uncrowd_step(cur)
+        recording[added] = added[0] - source
+    p = SemistandardTableau(cur.shape, tuple(tuple(c[0] for c in row) for row in cur.rows))
+    q_shape = SkewShape(cur.shape.outer, t.shape.outer)
+    return p, from_cells(q_shape, recording, FlaggedIncreasingTableau)
+
+
+def test_uncrowd_is_iterated_uncrowd_step():
+    checked = 0
+    for shape in skew_shapes(SMALL):
+        for t in svt_fillings(shape, SMALL.m, max_excess=SMALL.max_excess):
+            p, q = uncrowd(t)
+            p2, q2 = _uncrowd_by_steps(t)
+            assert (type(p), type(q), p, q) == (type(p2), type(q2), p2, q2), t.rows
+            checked += 1
+    assert checked == 2394
+
+
+def _star_tilde_by_product(f):
+    """The padded insertion as star insertion of the product biword ``f . g``,
+    where ``g`` is the residue of the minimal filling of the inner shape ``mu``
+    of ``res_inv(f)`` in its ambient diagram, its blocks labelled ``1..len(mu)``
+    below those of ``f``; both tableaux are then cut to the skew shape cell by
+    cell."""
+    canonical = res_inv(f)
+    mu, rows = canonical.shape.inner, canonical.shape.rows
+    if not mu:
+        return star_insert(to_biword(f))
+    lm = len(mu)
+    blocks = tuple(tuple(range(rows - k + mu[k - 1], rows - k, -1)) for k in range(lm, 0, -1))
+    g = DecreasingFactorization(blocks, max(c for blk in blocks for c in blk) + 1)
+    bf, bg = to_biword(f), to_biword(g)
+    result = star_insert(HeckeBiword(tuple(k + lm for k in bf.top) + bg.top,
+                                     bf.bottom + bg.bottom, max(f.n, g.n), f.m + lm))
+    assert all(result.q.cell(i, j) == i for i in range(1, lm + 1) for j in range(1, mu[i - 1] + 1))
+    skew = SkewShape(result.p.shape.outer, mu)
+    q = from_cells(skew, {(i, j): v - lm for i, j, v in result.q.cells() if (i, j) in skew},
+                   SemistandardTableau)
+    p = from_cells(skew, {(i, j): v for i, j, v in result.p.cells() if (i, j) in skew}, Tableau)
+    return InsertionResult(p, q)
+
+
+def test_star_tilde_is_the_product_biword_insertion():
+    seen = set()
+    skewed = 0
+    for shape in skew_shapes(SMALL):
+        for t in svt_fillings(shape, SMALL.m, max_excess=SMALL.max_excess):
+            h = res(t, SMALL.m)
+            if h.factors in seen:
+                continue
+            seen.add(h.factors)
+            got, want = star_tilde(h), _star_tilde_by_product(h)
+            assert got == want, h
+            assert (type(got.p), type(got.q)) == (type(want.p), type(want.q)), h
+            skewed += bool(got.q.shape.inner)
+    assert (len(seen), skewed) == (1375, 1288)

@@ -2,7 +2,7 @@ import pytest
 
 from heckecrystals import mutations
 from heckecrystals.errors import ValidationError
-from heckecrystals.graphs import ColoredDigraph, build_component
+from heckecrystals.graphs import build_component
 from heckecrystals.formats import parse_factorization as pf
 from heckecrystals.star_crystal import star_step
 from heckecrystals.factorization import weight
@@ -109,7 +109,7 @@ def test_audit_passes_on_a_component():
 
 
 def test_audit_on_single_node():
-    g = ColoredDigraph((1,), weights={"x": (1, 1)})
+    g = build_component(["x"], (1,), lambda u, c: (None, None), lambda u: (1, 1))
     assert (g.node, g.wt, g.out, g.inn) == (["x"], [(1, 1)], {1: [-1]}, {1: [-1]})
     assert stembridge_audit(g).ok
 
