@@ -103,6 +103,8 @@ class HeckeBiword:
             raise ValidationError("biword rows differ in length")
         if any(self.top[k] < self.top[k + 1] for k in range(len(self.top) - 1)):
             raise ValidationError("biword top row is not weakly decreasing")
+        if any(k < 1 for k in self.top):
+            raise ValidationError("biword block indices must be at least 1")
         for k in range(len(self.top) - 1):
             if self.top[k] == self.top[k + 1] and self.bottom[k] <= self.bottom[k + 1]:
                 raise ValidationError(

@@ -26,11 +26,11 @@ from .tableaux import (
 )
 
 __all__ = [
-    "parse_word", "word_to_json", "word_from_json",
+    "parse_word",
     "parse_factorization", "factorization_to_json", "factorization_from_json",
     "parse_biword", "parse_shape",
     "filling_to_json", "filling_from_json",
-    "tableau_to_json", "tableau_from_json",
+    "tableau_to_json",
 ]
 
 _BLOCK = re.compile(r"\(([^()]*)\)")
@@ -57,6 +57,8 @@ def _letters(text: str) -> tuple[int, ...]:
 
 def parse_word(text: str, n: int | None = None) -> HeckeWord:
     letters = _letters(text)
+    if not letters:
+        raise ValidationError(f"word {text!r} has no letters")
     if n is None:
         n = max(letters, default=0) + 1
     return HeckeWord(letters, max(n, 1))
@@ -77,23 +79,19 @@ def parse_biword(text: str, n: int | None = None) -> HeckeBiword:
     top_text, bottom_text = text.split("/", 1)
     top = _letters(top_text)
     bottom = _letters(bottom_text)
+    if not top or not bottom:
+        raise ValidationError(f"biword {text!r} has a row with no letters")
     if n is None:
         n = max(bottom, default=0) + 1
     return HeckeBiword(top, bottom, max(n, 1))
 
 
 def parse_shape(text: str) -> SkewShape:
-    outer_text, _, inner_text = text.partition("/")
-    return SkewShape(_ints(outer_text), _ints(inner_text))
-
-
-def word_to_json(w: HeckeWord) -> dict[str, Any]:
-    return {"n": w.n, "letters": list(w.letters)}
-
-
-def word_from_json(data: dict[str, Any]) -> HeckeWord:
-    _json_fields(data, "word", "letters", "n")
-    return HeckeWord(_json_ints(data["letters"], '"letters"'), _json_int(data["n"], '"n"'))
+    outer_text, slash, inner_text = text.partition("/")
+    outer, inner = _ints(outer_text), _ints(inner_text)
+    if not outer or (slash and not inner):
+        raise ValidationError(f"shape {text!r} has an empty partition")
+    return SkewShape(outer, inner)
 
 
 def factorization_to_json(f: DecreasingFactorization) -> dict[str, Any]:
@@ -152,15 +150,6 @@ def _json_ints(value: Any, what: str) -> tuple[int, ...]:
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:
     return filling_to_json(t.as_set_valued())
-
-
-def tableau_from_json(data: dict[str, Any], cls: type = Tableau) -> Tableau:
-    """Read the tableau JSON of :func:`tableau_to_json`: the checks of
-    :func:`filling_from_json`, then one letter per cell."""
-    t = filling_from_json(data, SetValuedFilling)
-    if any(len(cell) != 1 for row in t.rows for cell in row):
-        raise ValidationError("single-valued tableau expects singleton cells")
-    return cls(t.shape, tuple(tuple(cell[0] for cell in row) for row in t.rows))
 
 
 def loads(text: str) -> dict[str, Any]:

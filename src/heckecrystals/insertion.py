@@ -8,6 +8,10 @@ semistandard; its distinguishing rule fires when the inserted letter is
 already present in a row, in which case the left endpoint of the maximal
 consecutive run ending at that letter is bumped instead.
 
+Both run on plain lists of rows (the padded insertion of :mod:`uncrowding`
+shares ``_star_insert_rows``) and build only the tableaux they return, each
+validated; a shape is checked once per distinct ``(outer, inner)``.
+
 Micro-moves are the local rewrites (Knuth, weak Knuth and one idempotent
 move) under which the star insertion tableau is invariant; words here
 are always taken in insertion order, i.e. the reverse of the factorized
@@ -56,7 +60,6 @@ class InsertionResult:
 
 
 def _as_tableau(rows: list[list[int]], cls: type) -> Tableau:
-    rows = [r for r in rows if r]
     return cls(SkewShape(tuple(map(len, rows)), ()), tuple(map(tuple, rows)))
 
 
@@ -165,7 +168,9 @@ def _star_insert_cells(rows: list[list[int]], x: int) -> Path:
     return tuple(path)
 
 
-def _star_insert_rows(letters: tuple[int, ...], labels, trace: bool) -> InsertionResult:
+def _star_insert_rows(letters, labels) -> tuple[list[list[int]], list[list[int]], list[Path]]:
+    """Star-insert ``letters`` left to right into empty rows, recording
+    ``labels``: the rows of P, the rows of Q and the insertion paths."""
     rows: list[list[int]] = []
     qrows: list[list[int]] = []
     paths: list[Path] = []
@@ -178,30 +183,32 @@ def _star_insert_rows(letters: tuple[int, ...], labels, trace: bool) -> Insertio
         if len(qrows[r - 1]) != c:
             raise AssertionError("recording tableau out of step")
         paths.append(path)
-    p = _as_tableau(rows, RowIncreasingTableau)
-    q = _as_tableau(qrows, SemistandardTableau)
-    return InsertionResult(p, q, tuple(paths) if trace else None)
+    return rows, qrows, paths
 
 
-def star_insert_word(letters, labels=None) -> InsertionResult:
-    """Star-insert a fully-commutative sequence of letters left to right.
-
-    ``labels`` (defaults to 1, 2, ...) fill the recording tableau at the
-    cells created by each insertion.
-    """
-    letters = tuple(letters)
+def _check_fc_word(letters: tuple[int, ...]) -> None:
     if letters and not is_fully_commutative(eval_word(HeckeWord(letters, max(letters) + 1))):
         raise DomainError(f"word {letters} is not fully commutative")
-    if labels is None:
-        labels = range(1, len(letters) + 1)
-    return _star_insert_rows(letters, labels, False)
+
+
+def star_insert_word(letters) -> InsertionResult:
+    """Star-insert a fully-commutative sequence of letters left to right,
+    recording the i-th insertion with label i."""
+    letters = tuple(letters)
+    _check_fc_word(letters)
+    rows, qrows, _ = _star_insert_rows(letters, range(1, len(letters) + 1))
+    return InsertionResult(_as_tableau(rows, RowIncreasingTableau),
+                           _as_tableau(qrows, SemistandardTableau))
 
 
 def star_insert(b: HeckeBiword, trace: bool = False) -> InsertionResult:
     """Star insertion of a fully-commutative decreasing Hecke biword."""
     if b.bottom and not is_fully_commutative(b.eval()):
         raise DomainError(f"biword {b} is not fully commutative")
-    return _star_insert_rows(tuple(reversed(b.bottom)), tuple(reversed(b.top)), trace)
+    rows, qrows, paths = _star_insert_rows(reversed(b.bottom), reversed(b.top))
+    return InsertionResult(_as_tableau(rows, RowIncreasingTableau),
+                           _as_tableau(qrows, SemistandardTableau),
+                           tuple(paths) if trace else None)
 
 
 def star_insert_one(p: RowIncreasingTableau, x: int) -> tuple[RowIncreasingTableau, Path]:

@@ -12,19 +12,22 @@ A shape owns its geometry (:class:`Geometry`): row offsets, the cells of
 each row, the flat cells (bottom row first, left to right, so a cell's flat
 index is its place in ``rows`` read one row after another) with a cell to
 index map, each cell's right and upper neighbour, each column's cells, and
-the hash.  It is built on first use and shared per ``(outer, inner)``
-through one bounded table.  Fillings read, build (:func:`from_cells`) and
-change (:meth:`_Filling.with_cells`) cells through it, and cache their hash.
+the hash.  It is shared per ``(outer, inner)`` through one bounded table,
+which first checks both partitions and their containment: each distinct
+shape is checked once while the table holds it, and an invalid one, which
+the table never keeps, raises on every construction.  Fillings read, build
+(:func:`from_cells`) and change (:meth:`_Filling.with_cells`) cells through
+it, and cache their hash.
 
-Every constructor validates, with one walk over the cells that meets each
-cell together with its right and upper neighbours; each tableau class
-states only whether rows and columns increase weakly or strictly.
-Operators, insertion and uncrowding build the tableaux they return
-through the same constructors, so a broken operator fails where it
-returns a bad tableau; their intermediate steps work on plain lists of
-rows and build none.  A trusted constructor would be a second
-construction path, and it would let exactly the faults that the mutation
-tests inject pass unseen.
+Every filling is validated on every construction, with one walk over the
+cells that meets each cell together with its right and upper neighbours;
+each tableau class states only whether rows and columns increase weakly or
+strictly.  Operators, insertion and uncrowding build the tableaux they
+return through the same constructors, so a broken operator fails where it
+returns a bad tableau; their intermediate steps work on plain lists of rows
+and build none.  A trusted constructor would be a second construction
+path, and it would let exactly the faults that the mutation tests inject
+pass unseen.
 
 :func:`svt_fillings` is the one enumerator of fillings: every
 semistandard set-valued filling of a shape, the semistandard tableaux
@@ -58,13 +61,6 @@ __all__ = [
 ]
 
 
-def _check_partition(parts: tuple[int, ...], name: str) -> None:
-    if any(p <= 0 for p in parts):
-        raise ValidationError(f"{name} has non-positive parts: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValidationError(f"{name} is not weakly decreasing: {parts}")
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class Geometry:
     """Where one shape's cells sit; a flat index of -1 marks a missing neighbour."""
@@ -86,6 +82,15 @@ _GEOMETRIES = 256
 
 @lru_cache(maxsize=_GEOMETRIES)
 def _geometry(outer: tuple[int, ...], inner: tuple[int, ...]) -> Geometry:
+    for parts, name in ((outer, "outer shape"), (inner, "inner shape")):
+        if any(p <= 0 for p in parts):
+            raise ValidationError(f"{name} has non-positive parts: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValidationError(f"{name} is not weakly decreasing: {parts}")
+    if len(inner) > len(outer):
+        raise ValidationError("inner shape has more rows than outer shape")
+    if any(a > b for a, b in zip(inner, outer)):
+        raise ValidationError(f"inner shape {inner} not contained in {outer}")
     offsets = inner + (0,) * (len(outer) - len(inner))
     rows = tuple(tuple((i, j) for j in range(a + 1, b + 1))
                  for i, (a, b) in enumerate(zip(offsets, outer), start=1))
@@ -108,12 +113,7 @@ class SkewShape:
     inner: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_partition(self.outer, "outer shape")
-        _check_partition(self.inner, "inner shape")
-        if len(self.inner) > len(self.outer):
-            raise ValidationError("inner shape has more rows than outer shape")
-        if any(a > b for a, b in zip(self.inner, self.outer)):
-            raise ValidationError(f"inner shape {self.inner} not contained in {self.outer}")
+        _geometry(self.outer, self.inner)   # checks each distinct shape once
 
     @cached_property
     def geometry(self) -> Geometry:

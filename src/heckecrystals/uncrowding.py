@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .factorization import DecreasingFactorization, to_biword
-from .insertion import InsertionResult, star_insert, star_insert_word
+from .insertion import InsertionResult, _check_fc_word, _star_insert_rows, star_insert
 from .residue import res_inv
 from .tableaux import (
     FlaggedIncreasingTableau,
@@ -117,15 +117,16 @@ def _star_tilde(f: DecreasingFactorization, canonical: SkewSetValuedTableau) -> 
     letters = [ambient - k + j for k in range(1, lm + 1) for j in range(1, mu[k - 1] + 1)]
     labels = [k for k in range(1, lm + 1) for _ in range(mu[k - 1])]
     b = to_biword(f)
-    result = star_insert_word(letters + list(reversed(b.bottom)),
-                              labels + [k + lm for k in reversed(b.top)])
-    skew = SkewShape(result.p.shape.outer, mu)   # raises unless P contains mu
-    for i, (row, a) in enumerate(zip(result.q.rows, mu), start=1):
-        if row[:a] != (i,) * a:
+    word = tuple(letters) + tuple(reversed(b.bottom))
+    _check_fc_word(word)
+    rows, qrows, _ = _star_insert_rows(word, labels + [k + lm for k in reversed(b.top)])
+    skew = SkewShape(tuple(map(len, rows)), mu)   # raises unless P contains mu
+    for i, (row, a) in enumerate(zip(qrows, mu), start=1):
+        if row[:a] != [i] * a:
             raise ValidationError(f"recording tableau does not contain the minimal filling "
                                   f"in row {i}")
     offsets = skew.geometry.offsets
     q = SemistandardTableau(skew, tuple(tuple(v - lm for v in row[a:])
-                                        for row, a in zip(result.q.rows, offsets)))
-    p = Tableau(skew, tuple(row[a:] for row, a in zip(result.p.rows, offsets)))
+                                        for row, a in zip(qrows, offsets)))
+    p = Tableau(skew, tuple(tuple(row[a:]) for row, a in zip(rows, offsets)))
     return InsertionResult(p, q)

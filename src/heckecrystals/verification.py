@@ -128,12 +128,13 @@ def skew_shapes(b: Bounds) -> Iterator[SkewShape]:
         if not outer:
             continue
         for inner in partitions_in_box(len(outer), outer[0]):
+            if not 1 <= sum(outer) - sum(inner) <= b.max_cells:
+                continue
             try:
                 sh = SkewShape(outer, inner)
-            except ValidationError:
+            except ValidationError:   # inner not contained in outer
                 continue
-            if 1 <= sh.size() <= b.max_cells:
-                yield sh
+            yield sh
 
 
 def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -7,8 +9,6 @@ from heckecrystals.cli import main
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -117,6 +117,22 @@ def test_malformed_tableau_json_is_invalid_input(capsys, monkeypatch, command, p
 def test_malformed_factorization_json_is_invalid_input(capsys, monkeypatch, payload):
     code, _ = run(capsys, "insert", "--algo", "star", stdin=payload, monkeypatch=monkeypatch)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, stdin, error", [
+    (["enumerate", "--word", ",", "--factors", "2"], "", "word ',' has no letters"),
+    (["enumerate", "--word", "", "--factors", "2"], "", "word '' has no letters"),
+    (["expand", "--word", "", "--vars", "2"], "", "word '' has no letters"),
+    (["insert"], " / ", "biword '/' has a row with no letters"),
+    (["insert"], "0 / 1", "biword block indices must be at least 1"),
+    (["residue", "--invert", "--shape", "1/"], "(1)", "shape '1/' has an empty partition"),
+    (["residue", "--invert", "--shape", "/"], "(1)", "shape '/' has an empty partition"),
+], ids=["enumerate-comma", "enumerate-empty", "expand-empty", "insert-empty-rows",
+        "insert-block-0", "residue-shape-1-slash", "residue-shape-slash"])
+def test_input_outside_the_grammar_is_invalid_input(capsys, monkeypatch, argv, stdin, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_graph_star_without_seed_is_invalid_input(capsys):

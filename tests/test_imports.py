@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module (stdlib ``ast`` only)."""
+"""Every name a module imports is used in that module, and the library
+imports nothing outside the standard library (stdlib ``ast`` only)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,29 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "from typing import Iterator\nimport os, sys\nprint(sys.argv)\n"
     assert unused_imports(source) == ["line 1: Iterator", "line 2: os"]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside ``sys.stdlib_module_names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_imports(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_non_stdlib_import_is_reported():
+    source = ("import hypothesis\nimport os.path\nfrom . import tableaux\n"
+              "from .errors import ValidationError\nfrom numpy import array\n")
+    assert non_stdlib_imports(source) == ["line 1: hypothesis", "line 5: numpy"]

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from heckecrystals import tableaux
 from heckecrystals.errors import ValidationError
 from heckecrystals.tableaux import (
     FlaggedIncreasingTableau,
@@ -23,6 +26,28 @@ def test_shape_containment_checked():
         SkewShape((2, 2), (3,))
     with pytest.raises(ValidationError):
         SkewShape((2, 3), ())
+
+
+@pytest.mark.parametrize("outer, inner, message", [
+    ((2, 0), (), "outer shape has non-positive parts: (2, 0)"),
+    ((2, 3), (), "outer shape is not weakly decreasing: (2, 3)"),
+    ((2, 2), (0,), "inner shape has non-positive parts: (0,)"),
+    ((3, 3), (1, 2), "inner shape is not weakly decreasing: (1, 2)"),
+    ((2,), (1, 1), "inner shape has more rows than outer shape"),
+    ((2, 2), (3,), "inner shape (3,) not contained in (2, 2)"),
+])
+def test_an_invalid_shape_raises_on_every_construction(outer, inner, message):
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SkewShape(outer, inner)
+
+
+def test_equal_shapes_cost_one_geometry_miss():
+    tableaux._geometry.cache_clear()
+    first, second = SkewShape((5, 3, 3), (2, 1)), SkewShape((5, 3, 3), (2, 1))
+    info = tableaux._geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.geometry is second.geometry
 
 
 def test_shape_contents():

@@ -17,7 +17,7 @@ from heckecrystals.tableaux import (
     svt_fillings,
     weight_of,
 )
-from heckecrystals.uncrowding import star_tilde, t_mu, uncrowd, uncrowd_step
+from heckecrystals.uncrowding import _star_tilde, star_tilde, t_mu, uncrowd, uncrowd_step
 from heckecrystals.verification import Bounds, skew_shapes
 
 # the SMALL bounds of uncrowding-compat in tests/test_verification.py
@@ -139,6 +139,22 @@ def test_uncrowd_builds_only_its_results(monkeypatch):
     monkeypatch.setattr(tableaux._Filling, "__post_init__", counting)
     uncrowd(BIG)
     assert built == ["SemistandardTableau", "FlaggedIncreasingTableau"]
+
+
+def test_star_tilde_builds_only_its_results(monkeypatch):
+    h = pf("(8431)(863)(8654)(941)")
+    canonical = res_inv(h)
+    assert canonical.shape.inner == (4, 4, 1, 1)
+    built = []
+    validate = tableaux._Filling.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        validate(self)
+
+    monkeypatch.setattr(tableaux._Filling, "__post_init__", counting)
+    _star_tilde(h, canonical)
+    assert built == ["SemistandardTableau", "Tableau"]
 
 
 def _uncrowd_by_steps(t):
