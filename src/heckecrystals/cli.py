@@ -84,7 +84,7 @@ def _cmd_insert(args) -> int:
 def _cmd_residue(args) -> int:
     if args.invert:
         f = formats.parse_factorization(_read_payload(args).strip())
-        if args.shape:
+        if args.shape is not None:
             t = res_inv_shaped(f, formats.parse_shape(args.shape))
         else:
             t = res_inv(f)

@@ -127,8 +127,9 @@ def test_malformed_factorization_json_is_invalid_input(capsys, monkeypatch, payl
     (["insert"], "0 / 1", "biword block indices must be at least 1"),
     (["residue", "--invert", "--shape", "1/"], "(1)", "shape '1/' has an empty partition"),
     (["residue", "--invert", "--shape", "/"], "(1)", "shape '/' has an empty partition"),
+    (["residue", "--invert", "--shape", ""], "(1)", "shape '' has an empty partition"),
 ], ids=["enumerate-comma", "enumerate-empty", "expand-empty", "insert-empty-rows",
-        "insert-block-0", "residue-shape-1-slash", "residue-shape-slash"])
+        "insert-block-0", "residue-shape-1-slash", "residue-shape-slash", "residue-shape-empty"])
 def test_input_outside_the_grammar_is_invalid_input(capsys, monkeypatch, argv, stdin, error):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) == 2
