@@ -6,16 +6,21 @@ strictly decreasing letters, written leftmost block first.  Internally
 (counting blocks from the right, so block 1 is rightmost) is translated
 by :meth:`DecreasingFactorization.factor`, which is the only indexing
 API the rest of the package uses.
+
+The factorizations of an element ``w`` are enumerated by construction:
+every block step keeps the Demazure prefix in the right weak order
+interval below ``w``, read off the inversions of ``w``, so no branch is
+searched that cannot end at ``w``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator, Mapping
 
 from .errors import ValidationError
-from .hecke import (HeckeElement, HeckeWord, demazure_apply, eval_word, identity,
-                    is_fully_commutative)
+from .hecke import HeckeElement, HeckeWord, eval_word, is_fully_commutative
 
 __all__ = [
     "DecreasingFactorization",
@@ -160,94 +165,63 @@ def from_biword(b: HeckeBiword, m: int | None = None) -> DecreasingFactorization
     return DecreasingFactorization(tuple(tuple(bl) for bl in blocks), b.n)
 
 
-def _decreasing_blocks(letters: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
-    """All strictly decreasing sequences over ``letters`` of length <= max_len,
-    the empty block included."""
-    out: list[tuple[int, ...]] = [()]
-    desc = tuple(sorted(letters, reverse=True))
-
-    def extend(prefix: tuple[int, ...], start: int) -> None:
-        for k in range(start, len(desc)):
-            blk = prefix + (desc[k],)
-            out.append(blk)
-            if len(blk) < max_len:
-                extend(blk, k + 1)
-
-    if max_len > 0:
-        extend((), 0)
-    return out
-
-
 def enumerate_factorizations(
     w: HeckeElement, m: int, max_excess: int
 ) -> Iterator[DecreasingFactorization]:
     """All decreasing factorizations of ``w`` into ``m`` blocks with at most
     ``max_excess`` surplus letters, without duplicates.
 
-    Blocks are chosen left to right with two prunes: the running Demazure
-    prefix must still be able to reach ``w``, and the letter budget
-    ``length(w) + max_excess`` must cover the letters still required.
-    The prefix carries its Coxeter length, which a Demazure step raises by
-    one exactly when it moves the permutation, and each (prefix, block)
-    step is computed once per call.
+    Demazure steps only climb the right weak order, so a prefix can still
+    reach ``w`` exactly when each of its inversions is an inversion of ``w``
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, GTM 231, §3.1).
+    The blocks are the subsets of ``n-1 … 1``, in descending letters with
+    each prefix before its extensions.  One table, built per call and keyed
+    by the prefix permutation, holds the blocks whose every moving step adds
+    an inversion of ``w``, each with the prefix it leads to and how many
+    letters moved it; the letter budget ``length(w) + max_excess`` must
+    still cover the letters that ``w`` requires.
     """
     if m < 1 or max_excess < 0:
         raise ValidationError("need m >= 1 and max_excess >= 0")
     n = w.n
     target_len = w.length()
     budget = target_len + max_excess
-    letters = tuple(range(1, n))
-    blocks = _decreasing_blocks(letters, n - 1)
+    blocks = sorted((b for k in range(n) for b in combinations(range(n - 1, 0, -1), k)),
+                    key=lambda b: [-a for a in b])
+    position = {v: k for k, v in enumerate(w.perm)}
+    table: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {}
 
-    steps: dict[tuple[HeckeElement, int], tuple[HeckeElement, int]] = {}
-
-    def step(e: HeckeElement, length: int, k: int) -> tuple[HeckeElement, int]:
-        """The prefix ``e`` (of the given length) followed by ``blocks[k]``,
-        with its length."""
-        out = steps.get((e, k))
+    def moves(perm: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """``(block, next prefix, letters that moved it)`` for each block
+        that keeps the prefix ``perm`` below ``w``."""
+        out = table.get(perm)
         if out is None:
-            e2, len2 = e, length
-            for a in blocks[k]:
-                e3 = demazure_apply(e2, a)
-                if e3 != e2:
-                    e2, len2 = e3, len2 + 1
-            out = steps[(e, k)] = (e2, len2)
+            out = table[perm] = []
+            for blk in blocks:
+                p, moved = list(perm), 0
+                for a in blk:
+                    x, y = p[a - 1], p[a]
+                    if x < y:
+                        if position[y] > position[x]:
+                            break
+                        p[a - 1], p[a] = y, x
+                        moved += 1
+                else:
+                    out.append((blk, tuple(p), moved))
         return out
 
-    reach_memo: dict[HeckeElement, bool] = {}
-
-    def can_reach(e: HeckeElement, length: int) -> bool:
-        """Demazure-reachability of ``w`` from ``e`` (of the given length)."""
-        ok = reach_memo.get(e)
-        if ok is None:
-            if e == w:
-                ok = True
-            elif length >= target_len:
-                ok = False
-            else:
-                ok = any((e2 := demazure_apply(e, i)) != e and can_reach(e2, length + 1)
-                         for i in letters)
-            reach_memo[e] = ok
-        return ok
-
-    def rec(
-        pos: int, e: HeckeElement, length: int, used: int
-    ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(pos: int, perm: tuple[int, ...], length: int, used: int
+            ) -> Iterator[tuple[tuple[int, ...], ...]]:
         if pos == m:
-            if e == w:
+            if perm == w.perm:
                 yield ()
             return
-        for k, blk in enumerate(blocks):
+        for blk, perm2, moved in moves(perm):
             used2 = used + len(blk)
-            if used2 > budget:
+            if used2 + target_len - length - moved > budget:
                 continue
-            e2, len2 = step(e, length, k)
-            if used2 + target_len - len2 > budget:
-                continue
-            if not can_reach(e2, len2):
-                continue
-            for rest in rec(pos + 1, e2, len2, used2):
+            for rest in rec(pos + 1, perm2, length + moved, used2):
                 yield (blk,) + rest
 
-    for fs in rec(0, identity(n), 0, 0):
+    for fs in rec(0, tuple(range(1, n + 1)), 0, 0):
         yield DecreasingFactorization(fs, n)

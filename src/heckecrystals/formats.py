@@ -55,25 +55,29 @@ def _letters(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def parse_word(text: str, n: int | None = None) -> HeckeWord:
+def _bound(letters: tuple[int, ...]) -> int:
+    """The alphabet bound ``max + 1`` inferred from letters, which start at 1."""
+    if any(a < 1 for a in letters):
+        raise ValidationError(f"letter {min(letters)} is below 1; letters start at 1")
+    return max(letters, default=0) + 1
+
+
+def parse_word(text: str) -> HeckeWord:
     letters = _letters(text)
     if not letters:
         raise ValidationError(f"word {text!r} has no letters")
-    if n is None:
-        n = max(letters, default=0) + 1
-    return HeckeWord(letters, max(n, 1))
+    return HeckeWord(letters, _bound(letters))
 
 
 def parse_factorization(text: str, n: int | None = None) -> DecreasingFactorization:
     if not re.fullmatch(r"\s*(?:\([^()]*\)\s*)*", text):
         raise ValidationError(f"cannot parse factorization {text!r}")
     factors = tuple(_letters(b) for b in _BLOCK.findall(text))
-    if n is None:
-        n = max((a for f in factors for a in f), default=0) + 1
-    return DecreasingFactorization(factors, max(n, 1))
+    bound = _bound(tuple(a for f in factors for a in f))
+    return DecreasingFactorization(factors, bound if n is None else max(n, 1))
 
 
-def parse_biword(text: str, n: int | None = None) -> HeckeBiword:
+def parse_biword(text: str) -> HeckeBiword:
     if "/" not in text:
         raise ValidationError("biword text needs a '/' between the two rows")
     top_text, bottom_text = text.split("/", 1)
@@ -81,9 +85,7 @@ def parse_biword(text: str, n: int | None = None) -> HeckeBiword:
     bottom = _letters(bottom_text)
     if not top or not bottom:
         raise ValidationError(f"biword {text!r} has a row with no letters")
-    if n is None:
-        n = max(bottom, default=0) + 1
-    return HeckeBiword(top, bottom, max(n, 1))
+    return HeckeBiword(top, bottom, _bound(bottom))
 
 
 def parse_shape(text: str) -> SkewShape:
@@ -116,8 +118,7 @@ def filling_to_json(t: SetValuedFilling) -> dict[str, Any]:
     }
 
 
-def filling_from_json(data: dict[str, Any],
-                      cls: type = SkewSetValuedTableau) -> SetValuedFilling:
+def filling_from_json(data: dict[str, Any]) -> SetValuedFilling:
     _json_fields(data, "tableau", "outer", "rows")
     if data.get("notation", "french") != "french":
         raise ValidationError("only French notation is supported")
@@ -126,7 +127,8 @@ def filling_from_json(data: dict[str, Any],
         raise ValidationError(f'"rows" must be a list of rows, got {rows!r}')
     shape = SkewShape(_json_ints(data["outer"], '"outer"'),
                       _json_ints(data.get("inner", []), '"inner"'))
-    return cls(shape, tuple(tuple(_json_ints(cell, "a cell") for cell in row) for row in rows))
+    return SkewSetValuedTableau(
+        shape, tuple(tuple(_json_ints(cell, "a cell") for cell in row) for row in rows))
 
 
 def _json_fields(data: Any, what: str, *keys: str) -> None:

@@ -92,9 +92,9 @@ class ColoredDigraph:
         outs = list(self.out.values())
         return [u for u in comp if all(out[u] < 0 for out in outs)]
 
-    def to_dot(self, label: Callable[[Hashable], str] = str, name: str = "crystal") -> str:
+    def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
         ids = {u: f"n{k}" for k, u in enumerate(sorted(self.node, key=str))}
-        lines = [f"digraph {name} {{", "  rankdir=TB;", '  node [shape=plaintext];']
+        lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=plaintext];']
         for u, nid in ids.items():
             lines.append(f'  {nid} [label="{label(u)}"];')
         for a, c, b in sorted(self.edges, key=lambda e: (str(e[0]), e[1], str(e[2]))):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import ValidationError
 
@@ -136,19 +136,9 @@ def equivalent(a: HeckeWord, b: HeckeWord) -> bool:
 
 
 def all_elements(n: int) -> list[HeckeElement]:
-    """All of S_n as Hecke elements (BFS over Demazure multiplications)."""
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for i in range(1, n):
-                e2 = demazure_apply(e, i)
-                if e2 not in seen:
-                    seen.add(e2)
-                    nxt.append(e2)
-        frontier = nxt
-    return sorted(seen, key=lambda e: (e.length(), e.perm))
+    """All of S_n as Hecke elements, by length and then one-line notation."""
+    return sorted((HeckeElement(p) for p in permutations(range(1, n + 1))),
+                  key=lambda e: (e.length(), e.perm))
 
 
 def fully_commutative_elements(n: int) -> list[HeckeElement]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .factorization import DecreasingFactorization, weight
+from .factorization import DecreasingFactorization, enumerate_factorizations, weight
 from .graphs import ColoredDigraph, build_component
+from .hecke import all_elements
 
 __all__ = ["PairCounter", "pairing3", "f3", "e3", "step3", "phi3", "epsilon3",
            "crystal_graph_local3", "all_factorizations3"]
@@ -183,19 +184,8 @@ def crystal_graph_local3(seed: DecreasingFactorization) -> ColoredDigraph:
 
 
 def all_factorizations3(m: int, max_letters: int) -> list[DecreasingFactorization]:
-    """Every block sequence over the alphabet {1, 2} with ``m`` blocks
-    and at most ``max_letters`` letters."""
-    out: list[DecreasingFactorization] = []
-
-    def rec(pos: int, acc: list[tuple[int, ...]], used: int) -> None:
-        if pos == m:
-            out.append(DecreasingFactorization(tuple(acc), 3))
-            return
-        for blk in _BLOCKS:
-            if used + len(blk) <= max_letters:
-                acc.append(blk)
-                rec(pos + 1, acc, used + len(blk))
-                acc.pop()
-
-    rec(0, [], 0)
-    return out
+    """Every decreasing factorization over the alphabet {1, 2} with ``m``
+    blocks and at most ``max_letters`` letters: those of each element of
+    S_3, ``s1 s2 s1`` included."""
+    return [f for w in all_elements(3) if w.length() <= max_letters
+            for f in enumerate_factorizations(w, m, max_letters - w.length())]

@@ -119,6 +119,9 @@ def test_malformed_factorization_json_is_invalid_input(capsys, monkeypatch, payl
     assert code == 2
 
 
+LETTER_0 = "letter 0 is below 1; letters start at 1"
+
+
 @pytest.mark.parametrize("argv, stdin, error", [
     (["enumerate", "--word", ",", "--factors", "2"], "", "word ',' has no letters"),
     (["enumerate", "--word", "", "--factors", "2"], "", "word '' has no letters"),
@@ -128,8 +131,16 @@ def test_malformed_factorization_json_is_invalid_input(capsys, monkeypatch, payl
     (["residue", "--invert", "--shape", "1/"], "(1)", "shape '1/' has an empty partition"),
     (["residue", "--invert", "--shape", "/"], "(1)", "shape '/' has an empty partition"),
     (["residue", "--invert", "--shape", ""], "(1)", "shape '' has an empty partition"),
+    (["enumerate", "--word", "0", "--factors", "2"], "", LETTER_0),
+    (["expand", "--word", "0", "--vars", "2"], "", LETTER_0),
+    (["graph", "--seed", "(0)"], "", LETTER_0),
+    (["residue", "--invert"], "(0)", LETTER_0),
+    (["insert", "--algo", "star"], "1 / 0", LETTER_0),
+    (["insert", "--algo", "hecke"], "1 / 0", LETTER_0),
 ], ids=["enumerate-comma", "enumerate-empty", "expand-empty", "insert-empty-rows",
-        "insert-block-0", "residue-shape-1-slash", "residue-shape-slash", "residue-shape-empty"])
+        "insert-block-0", "residue-shape-1-slash", "residue-shape-slash", "residue-shape-empty",
+        "enumerate-letter-0", "expand-letter-0", "graph-letter-0", "residue-letter-0",
+        "insert-star-letter-0", "insert-hecke-letter-0"])
 def test_input_outside_the_grammar_is_invalid_input(capsys, monkeypatch, argv, stdin, error):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) == 2

@@ -13,7 +13,8 @@ from heckecrystals.factorization import (
     weight,
 )
 from heckecrystals.formats import parse_factorization as pf
-from heckecrystals.hecke import HeckeWord, eval_word, fully_commutative_elements, identity
+from heckecrystals.hecke import (HeckeWord, all_elements, demazure_apply, eval_word,
+                                 fully_commutative_elements, identity)
 
 
 def test_weight_of_worked_example():
@@ -102,11 +103,12 @@ def test_enumerate_weight_222_factorizations_of_12132():
 
 
 def _decreasing_blocks(n):
+    """The blocks over 1..n-1 in descending letters, each prefix before its extensions."""
     letters = tuple(range(n - 1, 0, -1))
     out = []
     for r in range(len(letters) + 1):
         out.extend(itertools.combinations(letters, r))
-    return out
+    return sorted(out, key=lambda b: [-a for a in b])
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -135,17 +137,14 @@ def test_enumerate_no_duplicates_and_excess_bound():
     assert all(excess(f) <= 2 and f.eval() == w for f in found)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_enumeration_order_matches_brute_force_filter(n):
-    """Every element of S_n, m = 3, excess <= 2: the enumeration yields
-    exactly the m-tuples of blocks that evaluate to w within the letter
-    budget, in the order of a product over the program's block order."""
-    from heckecrystals.factorization import _decreasing_blocks as program_blocks
-    from heckecrystals.hecke import all_elements
-
-    m = 3
+@pytest.mark.parametrize("n, m", [pytest.param(4, 3, id="4"), pytest.param(5, 3, id="5"),
+                                  pytest.param(4, 4, id="4-4")])
+def test_enumeration_order_matches_brute_force_filter(n, m):
+    """Every element of S_n, excess <= 2: the enumeration yields exactly
+    the m-tuples of blocks that evaluate to w within the letter budget, in
+    the order of a product over the blocks in descending letters."""
     by_element = {}
-    for combo in itertools.product(program_blocks(tuple(range(1, n)), n - 1), repeat=m):
+    for combo in itertools.product(_decreasing_blocks(n), repeat=m):
         flat = tuple(a for b in combo for a in b)
         by_element.setdefault(eval_word(HeckeWord(flat, n)), []).append((combo, len(flat)))
     for w in all_elements(n):
@@ -154,3 +153,29 @@ def test_enumeration_order_matches_brute_force_filter(n):
                         if letters <= w.length() + max_excess]
             got = [f.factors for f in enumerate_factorizations(w, m, max_excess)]
             assert got == expected
+
+
+def _inversions(e):
+    """The value pairs ``(y, x)``, ``y > x``, with ``y`` before ``x`` in ``e``."""
+    p = e.perm
+    return {(p[i], p[j]) for i, j in itertools.combinations(range(len(p)), 2) if p[i] > p[j]}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_demazure_reachability_is_inversion_containment(n):
+    """The weak-order criterion the enumeration prunes by: ``w`` is reached
+    from ``e`` by Demazure steps exactly when every inversion of ``e`` is
+    an inversion of ``w``."""
+    elements = all_elements(n)
+    inversions = {e: _inversions(e) for e in elements}
+    for e in elements:
+        reached, queue = {e}, [e]
+        while queue:
+            e2 = queue.pop(0)
+            for i in range(1, n):
+                e3 = demazure_apply(e2, i)
+                if e3 not in reached:
+                    reached.add(e3)
+                    queue.append(e3)
+        for w in elements:
+            assert (w in reached) == (inversions[e] <= inversions[w])

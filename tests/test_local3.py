@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from heckecrystals.errors import ValidationError
@@ -131,3 +133,15 @@ def test_graph_component_of_figure_seed():
     labels = {str(u) for u in g.nodes}
     assert labels == {"()(21)(21)", "(1)(2)(21)", "(1)(21)(1)",
                       "(21)()(21)", "(21)(2)(1)", "(21)(21)()"}
+
+
+@pytest.mark.parametrize("m, max_letters", [(3, 4), (4, 4), (5, 6)])
+def test_all_factorizations3_is_the_filtered_product_of_blocks(m, max_letters):
+    """Every product of the four blocks with at most ``max_letters``
+    letters, each once."""
+    blocks = ((), (1,), (2,), (2, 1))
+    expected = {combo for combo in itertools.product(blocks, repeat=m)
+                if sum(map(len, combo)) <= max_letters}
+    got = [f.factors for f in all_factorizations3(m, max_letters)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
