@@ -8,15 +8,14 @@ by :meth:`DecreasingFactorization.factor`, which is the only indexing
 API the rest of the package uses.
 
 The factorizations of an element ``w`` are enumerated by construction:
-every block step keeps the Demazure prefix in the right weak order
-interval below ``w``, read off the inversions of ``w``, so no branch is
-searched that cannot end at ``w``.
+every block, grown a letter at a time, keeps the Demazure prefix in the
+right weak order interval below ``w``, read off the inversions of ``w``,
+so no block is built and no branch searched that cannot end at ``w``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator, Mapping
 
 from .errors import ValidationError
@@ -174,20 +173,19 @@ def enumerate_factorizations(
     Demazure steps only climb the right weak order, so a prefix can still
     reach ``w`` exactly when each of its inversions is an inversion of ``w``
     (Björner–Brenti, *Combinatorics of Coxeter Groups*, GTM 231, §3.1).
-    The blocks are the subsets of ``n-1 … 1``, in descending letters with
-    each prefix before its extensions.  One table, built per call and keyed
-    by the prefix permutation, holds the blocks whose every moving step adds
-    an inversion of ``w``, each with the prefix it leads to and how many
-    letters moved it; the letter budget ``length(w) + max_excess`` must
-    still cover the letters that ``w`` requires.
+    Each prefix's blocks are grown one smaller letter at a time, largest
+    first and each block before its extensions, only while every moving step
+    adds an inversion of ``w`` and the unmoved letters fit ``max_excess``.
+    One table, built per call and keyed by the prefix permutation, holds
+    them with the prefix each leads to and how many letters moved it.  The
+    open block positions form a stack, not a recursion; the letter budget
+    ``length(w) + max_excess`` must still cover the letters ``w`` requires.
     """
     if m < 1 or max_excess < 0:
         raise ValidationError("need m >= 1 and max_excess >= 0")
     n = w.n
     target_len = w.length()
     budget = target_len + max_excess
-    blocks = sorted((b for k in range(n) for b in combinations(range(n - 1, 0, -1), k)),
-                    key=lambda b: [-a for a in b])
     position = {v: k for k, v in enumerate(w.perm)}
     table: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {}
 
@@ -197,31 +195,32 @@ def enumerate_factorizations(
         out = table.get(perm)
         if out is None:
             out = table[perm] = []
-            for blk in blocks:
-                p, moved = list(perm), 0
-                for a in blk:
+            grow = [((), perm, 0)]
+            while grow:
+                blk, p, moved = grow.pop()
+                out.append((blk, p, moved))
+                for a in range(1, blk[-1] if blk else n):   # popped largest first
                     x, y = p[a - 1], p[a]
-                    if x < y:
-                        if position[y] > position[x]:
-                            break
-                        p[a - 1], p[a] = y, x
-                        moved += 1
-                else:
-                    out.append((blk, tuple(p), moved))
+                    if x > y:
+                        if len(blk) + 1 - moved <= max_excess:
+                            grow.append((blk + (a,), p, moved))
+                    elif position[y] < position[x]:
+                        grow.append((blk + (a,), p[:a - 1] + (y, x) + p[a + 1:], moved + 1))
         return out
 
-    def rec(pos: int, perm: tuple[int, ...], length: int, used: int
-            ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if pos == m:
-            if perm == w.perm:
-                yield ()
-            return
-        for blk, perm2, moved in moves(perm):
-            used2 = used + len(blk)
-            if used2 + target_len - length - moved > budget:
-                continue
-            for rest in rec(pos + 1, perm2, length + moved, used2):
-                yield (blk,) + rest
-
-    for fs in rec(0, tuple(range(1, n + 1)), 0, 0):
-        yield DecreasingFactorization(fs, n)
+    chosen: list[tuple[int, ...]] = []
+    stack = [(iter(moves(tuple(range(1, n + 1)))), 0, 0)]   # (blocks, length, used)
+    while stack:
+        blocks, length, used = stack[-1]
+        for blk, perm, moved in blocks:
+            if used + len(blk) + target_len - length - moved <= budget:
+                break
+        else:
+            stack.pop()
+            continue
+        del chosen[len(stack) - 1:]
+        chosen.append(blk)
+        if len(stack) < m:
+            stack.append((iter(moves(perm)), length + moved, used + len(blk)))
+        elif perm == w.perm:
+            yield DecreasingFactorization(tuple(chosen), n)

@@ -11,7 +11,6 @@ rewriting-system machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import ValidationError
@@ -89,21 +88,13 @@ def demazure_apply(e: HeckeElement, i: int) -> HeckeElement:
 
 
 def eval_word(w: HeckeWord) -> HeckeElement:
-    """Fold the Demazure action over the letters, left to right."""
-    return _eval_letters(w.letters, w.n)
-
-
-# Above the 62k words that ``verify --theorem all`` evaluates at the default
-# bounds (62,219), so that run never evicts; deeper bounds stay bounded.
-_EVAL_CACHE_SIZE = 1 << 17
-
-
-@lru_cache(maxsize=_EVAL_CACHE_SIZE)
-def _eval_letters(letters: tuple[int, ...], n: int) -> HeckeElement:
-    e = identity(n)
-    for a in letters:
-        e = demazure_apply(e, a)
-    return e
+    """Fold the Demazure action over the letters, left to right, on one
+    list; ``HeckeWord`` has already checked every letter's range."""
+    p = list(range(1, w.n + 1))
+    for a in w.letters:
+        if p[a - 1] < p[a]:
+            p[a - 1], p[a] = p[a], p[a - 1]
+    return HeckeElement(tuple(p))
 
 
 def is_fully_commutative(e: HeckeElement) -> bool:

@@ -34,10 +34,11 @@ from .grothendieck import (
     schur_dict,
     series_via_expansion,
 )
-from .hecke import HeckeWord, eval_word, fully_commutative_elements, is_fully_commutative
+from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elements,
+                    is_fully_commutative)
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, e3, f3, step3
-from .residue import res, res_inv
+from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import f_star, pairing, star_step
 from .svt_crystal import f_classical, f_svt, svt_step
 from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
@@ -408,19 +409,23 @@ def _check_recording_intertwining(b: Bounds) -> Witnesses:
         deep=Bounds(m=3, max_cells=6, max_rows=4, max_cols=4, max_excess=3))
 def _check_uncrowding_compat(b: Bounds) -> Witnesses:
     """Padded star insertion records the uncrowding of the canonical
-    representative of the residue class."""
-    seen: set[tuple] = set()
+    representative of the residue class.  The residues of a shape's fillings
+    are the factorizations of its element, the Demazure product of its
+    diagonal labels read row by row from the top, right to left."""
+    done: set[HeckeElement] = set()
     for shape in skew_shapes(b):
-        for t in svt_fillings(shape, b.m, max_excess=b.max_excess):
-            h = res(t, b.m)
-            if h.factors in seen:
-                continue
-            seen.add(h.factors)
+        labels = tuple(shape.content(i, j) for i, j in reversed(shape.geometry.cells))
+        w = eval_word(HeckeWord(labels, max(labels) + 1))
+        if w in done:
+            continue
+        done.add(w)
+        for h in enumerate_factorizations(w, b.m, b.max_excess):
             yield None
             canonical = res_inv(h)
             p_tilde, _ = uncrowd(canonical)
             q = _star_tilde(h, canonical).q
             if q != p_tilde:
+                t = res_inv_shaped(h, shape)
                 yield f"uncrowding mismatch for {h} (from {t.rows} on {shape})"
 
 

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import sys
@@ -20,6 +21,25 @@ def test_enumerate_text(capsys):
                     "--max-excess", "1")
     assert code == 0
     assert set(out.split()) == {"(1)()", "()(1)", "(1)(1)"}
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["enumerate", "--word", "1", "--factors", "300"],
+     ["()" * (299 - k) + "(1)" + "()" * k for k in range(300)]),
+    (["expand", "--word", "1", "--vars", "300"], ["beta^0  s_1  1"]),
+], ids=["enumerate", "expand"])
+def test_block_count_is_not_bounded_by_recursion(capsys, argv, lines):
+    """The open block positions sit on a stack: 300 blocks run within 200
+    frames of recursion (so ``--factors 2000`` needs none of the default
+    1,000 either)."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        code, out = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert out.splitlines() == lines
 
 
 def test_enumerate_json_round_trip(capsys):

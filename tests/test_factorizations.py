@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 
@@ -100,6 +102,42 @@ def test_enumerate_weight_222_factorizations_of_12132():
         if weight(f) == (2, 2, 2, 0)
     }
     assert found == {"()(21)(21)(32)", "()(21)(32)(32)"}
+
+
+def test_one_large_letter_enumerates_in_little_memory():
+    """The blocks are grown per prefix, not drawn from all 2^15 subsets of
+    the letters of S_17."""
+    w = eval_word(HeckeWord((1, 16), 17))
+    tracemalloc.start()
+    try:
+        found = [str(f) for f in enumerate_factorizations(w, 2, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == ["()(16 1)", "(16)(16 1)", "(16)(1)", "(16 1)()", "(16 1)(16)",
+                     "(16 1)(1)", "(1)(16)", "(1)(16 1)"]
+    assert peak < 1 << 20
+
+
+def test_weak_order_prune_bounds_the_prefixes_visited():
+    """The per-prefix block builder runs once per prefix the search visits:
+    356 times on the word 1357246 with m=3 and max_excess=1, and 14,329
+    times if blocks that leave the weak order interval below w are kept."""
+    w = eval_word(HeckeWord((1, 3, 5, 7, 2, 4, 6), 8))
+    visits = 0
+
+    def profile(frame, event, arg):
+        nonlocal visits
+        if event == "call" and frame.f_code.co_name == "moves":
+            visits += 1
+
+    sys.setprofile(profile)
+    try:
+        found = list(enumerate_factorizations(w, 3, 1))
+    finally:
+        sys.setprofile(None)
+    assert len(found) == 276
+    assert 0 < visits <= 2 * 356
 
 
 def _decreasing_blocks(n):

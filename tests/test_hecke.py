@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,16 @@ def test_demazure_closure_of_s3():
 
 def test_eval_braid_relation():
     assert eval_word(word("121")) == eval_word(word("212"))
+
+
+def test_eval_word_is_the_fold_of_demazure_apply():
+    """Every word of length at most 6 over S_5, against the validated step."""
+    for k in range(7):
+        for letters in itertools.product(range(1, 5), repeat=k):
+            e = identity(5)
+            for a in letters:
+                e = demazure_apply(e, a)
+            assert eval_word(HeckeWord(letters, 5)) == e
 
 
 def test_eval_empty_word_is_identity():

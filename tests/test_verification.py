@@ -163,6 +163,46 @@ def test_uncrowding_compat_inverts_each_residue_once(monkeypatch):
     assert len({f.factors for f in calls}) == report.instances
 
 
+@pytest.mark.parametrize("b, residues", [
+    pytest.param(SMALL["uncrowding-compat"], 1_375, id="small"),
+    pytest.param(default_bounds("uncrowding-compat"), 42_418, id="default"),
+])
+def test_uncrowding_compat_enumerates_each_residue_class(monkeypatch, b, residues):
+    """Per shape, the residues of the fillings are, without repeats, the
+    factorizations of the shape's element: its diagonal labels, rows top to
+    bottom and each right to left.  Distinct elements give disjoint
+    classes, and the check runs once on each distinct residue of a filling."""
+    from types import SimpleNamespace
+
+    from heckecrystals import verification
+    from heckecrystals.factorization import enumerate_factorizations
+    from heckecrystals.hecke import HeckeWord, eval_word
+    from heckecrystals.residue import res
+    from heckecrystals.verification import skew_shapes, svt_fillings
+
+    classes = {}
+    for shape in skew_shapes(b):
+        offsets = shape.inner + (0,) * (shape.rows - len(shape.inner))
+        labels = tuple(shape.rows + j - i for i in range(shape.rows, 0, -1)
+                       for j in range(shape.outer[i - 1], offsets[i - 1], -1))
+        w = eval_word(HeckeWord(labels, max(labels) + 1))
+        found = [res(t, b.m).factors for t in svt_fillings(shape, b.m, max_excess=b.max_excess)]
+        built = [f.factors for f in enumerate_factorizations(w, b.m, b.max_excess)]
+        assert len(set(found)) == len(found) and len(set(built)) == len(built)
+        assert set(found) == set(built), shape
+        classes[w] = set(found)
+    distinct = set().union(*classes.values())
+    assert len(distinct) == sum(map(len, classes.values())) == residues
+
+    inverted = []
+    monkeypatch.setattr(verification, "res_inv", lambda h: inverted.append(h.factors))
+    monkeypatch.setattr(verification, "uncrowd", lambda t: (None, None))
+    monkeypatch.setattr(verification, "_star_tilde", lambda h, t: SimpleNamespace(q=None))
+    report = check_theorem("uncrowding-compat", b)
+    assert report.ok and report.instances == residues
+    assert len(inverted) == residues and set(inverted) == distinct
+
+
 def test_local3_graph_pairs_each_node_once_per_color(monkeypatch):
     from heckecrystals import local3
 
