@@ -29,9 +29,9 @@ def test_enumerate_text(capsys):
     (["expand", "--word", "1", "--vars", "300"], ["beta^0  s_1  1"]),
 ], ids=["enumerate", "expand"])
 def test_block_count_is_not_bounded_by_recursion(capsys, argv, lines):
-    """The open block positions sit on a stack: 300 blocks run within 200
-    frames of recursion (so ``--factors 2000`` needs none of the default
-    1,000 either)."""
+    """The open block positions sit on a stack, so the block count is not
+    bounded by the recursion limit: 300 blocks run with 200 frames to
+    spare, which one nested call per block would exceed."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 200)
     try:
