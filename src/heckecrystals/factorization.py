@@ -16,7 +16,7 @@ so no block is built and no branch searched that cannot end at ``w``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import ValidationError
 from .hecke import HeckeElement, HeckeWord, eval_word, is_fully_commutative
@@ -55,15 +55,6 @@ class DecreasingFactorization:
         if not 1 <= i <= self.m:
             raise ValidationError(f"factor index {i} outside [1, {self.m}]")
         return self.factors[self.m - i]
-
-    def replace_factors(self, blocks: Mapping[int, tuple[int, ...]]
-                        ) -> "DecreasingFactorization":
-        """The factorization with block ``i`` (counted from the right)
-        replaced by ``blocks[i]`` for every key ``i``."""
-        fs = list(self.factors)
-        for i, letters in blocks.items():
-            fs[self.m - i] = letters
-        return DecreasingFactorization(tuple(fs), self.n)
 
     def flatten(self) -> HeckeWord:
         return HeckeWord(tuple(a for f in self.factors for a in f), self.n)

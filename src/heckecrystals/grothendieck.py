@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .errors import DomainError, ValidationError
 from .factorization import enumerate_factorizations, excess, weight
@@ -82,21 +83,28 @@ def grothendieck_poly(w: HeckeElement, m: int, max_beta: int) -> GradedPoly:
     return out
 
 
-def _check_symmetric(p: Poly, m: int) -> None:
-    for i in range(m - 1):
-        for expo, c in p.items():
-            swapped = list(expo)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if p.get(tuple(swapped), 0) != c:
-                raise ValidationError(
-                    f"polynomial is not symmetric: {expo} vs transposition at {i + 1}")
+def _check_symmetric(p: Poly) -> None:
+    """Per sorted exponent, one coefficient on as many exponents as it has distinct
+    rearrangements: then every rearrangement of a monomial carries its coefficient."""
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for expo, c in p.items():
+        groups.setdefault(tuple(sorted(expo)), []).append((expo, c))
+    for key, members in groups.items():
+        (e, c), orbit = members[0], factorial(len(key))
+        for k in Counter(key).values():
+            orbit //= factorial(k)
+        other = next((m for m in members if m[1] != c), None)
+        if other is not None or len(members) != orbit:
+            raise ValidationError("polynomial is not symmetric: " + (
+                f"{e} has coefficient {c}, {other[0]} has {other[1]}" if other else
+                f"{len(members)} of the {orbit} rearrangements of {e} are present"))
 
 
 def schur_expand(p: Poly, m: int) -> dict[tuple[int, ...], int]:
     """Unique expansion of a symmetric polynomial in Schur polynomials,
     by repeatedly subtracting at the lexicographically largest monomial."""
     work = {e: c for e, c in p.items() if c}
-    _check_symmetric(work, m)
+    _check_symmetric(work)
     out: dict[tuple[int, ...], int] = {}
     while work:
         e = max(work)

@@ -142,7 +142,10 @@ def _moves(f: DecreasingFactorization, i: int):
 
 
 def _image(f: DecreasingFactorization, i: int, moved) -> DecreasingFactorization | None:
-    return None if moved is None else f.replace_factors({i + 1: moved[0], i: moved[1]})
+    """``f`` with blocks ``i+1`` and ``i`` replaced by the pair ``moved``."""
+    k = f.m - i                           # block i; block i + 1 sits at k - 1
+    return None if moved is None else DecreasingFactorization(
+        f.factors[:k - 1] + moved + f.factors[k + 1:], f.n)
 
 
 def f3(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
@@ -162,20 +165,20 @@ def step3(f: DecreasingFactorization, i: int
     return _image(f, i, lowering), _image(f, i, raising)
 
 
-def phi3(f: DecreasingFactorization, i: int) -> int:
-    k, cur = 0, f
-    while (nxt := f3(cur, i)) is not None:
-        cur = nxt
+def _string(op, f: DecreasingFactorization, i: int) -> int:
+    """How many times ``op(·, i)`` applies, starting at ``f``."""
+    k = 0
+    while (f := op(f, i)) is not None:
         k += 1
     return k
+
+
+def phi3(f: DecreasingFactorization, i: int) -> int:
+    return _string(f3, f, i)
 
 
 def epsilon3(f: DecreasingFactorization, i: int) -> int:
-    k, cur = 0, f
-    while (nxt := e3(cur, i)) is not None:
-        cur = nxt
-        k += 1
-    return k
+    return _string(e3, f, i)
 
 
 def crystal_graph_local3(seed: DecreasingFactorization) -> ColoredDigraph:

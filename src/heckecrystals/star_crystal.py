@@ -19,7 +19,8 @@ from .errors import DomainError, ValidationError
 from .factorization import DecreasingFactorization, weight
 from .graphs import ColoredDigraph, build_component
 
-__all__ = ["Pairing", "pairing", "star_step", "f_star", "e_star", "phi", "epsilon", "crystal_graph"]
+__all__ = ["Pairing", "pairing", "star_moves", "star_step", "f_star", "e_star", "phi", "epsilon",
+           "crystal_graph"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,11 @@ def pairing(f: DecreasingFactorization, i: int) -> Pairing:
     """Pair letters of block ``i+1`` (largest first) with the smallest
     unused letter of block ``i`` that is weakly larger."""
     _check_domain(f, i)
-    lower = list(f.factor(i))        # descending
-    upper = f.factor(i + 1)          # descending
+    return Pairing(*_pair(f.factor(i), f.factor(i + 1)))
+
+
+def _pair(lower: tuple[int, ...], upper: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """The fields of :class:`Pairing` for two descending blocks."""
     avail = sorted(lower)            # ascending
     pairs = []
     unpaired_upper = []
@@ -58,8 +62,7 @@ def pairing(f: DecreasingFactorization, i: int) -> Pairing:
             pairs.append((b, avail.pop(k)))
         else:
             unpaired_upper.append(b)
-    return Pairing(tuple(pairs), tuple(sorted(avail, reverse=True)),
-                   tuple(sorted(unpaired_upper)))
+    return tuple(pairs), tuple(reversed(avail)), tuple(reversed(unpaired_upper))
 
 
 def _insert_desc(block: tuple[int, ...], x: int) -> tuple[int, ...]:
@@ -73,44 +76,58 @@ def _remove(block: tuple[int, ...], x: int) -> tuple[int, ...]:
     return block[:k] + block[k + 1:]
 
 
+def star_moves(factors: tuple, i: int, unpaired: tuple | None = None
+               ) -> tuple[tuple | None, tuple | None]:
+    """The blocks of ``f_star`` and ``e_star`` at block ``i`` of a fully-commutative
+    factorization with blocks ``factors``, None where undefined, from one pairing
+    (``unpaired``, the unpaired letters of a :class:`Pairing`, when already known).
+    Nothing is validated: the wrappers check the domain and build what they return."""
+    k = len(factors) - i                  # block i; block i + 1 sits at k - 1
+    lo, up = factors[k], factors[k - 1]
+    lower, upper = unpaired or _pair(lo, up)[1:]
+    lowered = raised = None
+    if lower:
+        x = lower[0]
+        neighbour = x + 1 in lo and x + 1 in up
+        if neighbour and mutations.enabled(mutations.FSTAR_NEIGHBOR_CASE_OFF):
+            neighbour = False
+        lo2 = _remove(lo, x + 1 if neighbour else x)
+        lowered = factors[:k - 1] + (_insert_desc(up, x), lo2) + factors[k + 1:]
+    if upper:
+        y = upper[0]
+        up2 = _remove(up, y - 1 if y - 1 in lo and y - 1 in up else y)
+        raised = factors[:k - 1] + (up2, _insert_desc(lo, y)) + factors[k + 1:]
+    return lowered, raised
+
+
+def _images(f: DecreasingFactorization, i: int) -> tuple[tuple | None, tuple | None]:
+    p = pairing(f, i)                     # checks the domain
+    return star_moves(f.factors, i, (p.unpaired_lower, p.unpaired_upper))
+
+
+def _built(f: DecreasingFactorization, factors: tuple | None
+           ) -> DecreasingFactorization | None:
+    return None if factors is None else DecreasingFactorization(factors, f.n)
+
+
 def star_step(f: DecreasingFactorization, i: int
               ) -> tuple[DecreasingFactorization | None, DecreasingFactorization | None]:
     """``(f_star(f, i), e_star(f, i))`` from one pairing."""
-    p = pairing(f, i)
-    return _lower(f, i, p), _raise(f, i, p)
+    lowered, raised = _images(f, i)
+    return _built(f, lowered), _built(f, raised)
 
 
 def f_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Lowering operator: act on the largest unpaired letter ``x`` of
     block ``i``.  When ``x+1`` sits in both blocks, that copy in block
     ``i`` dissolves and ``x`` joins block ``i+1``; otherwise ``x`` moves."""
-    return _lower(f, i, pairing(f, i))
+    return _built(f, _images(f, i)[0])
 
 
 def e_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Raising operator: partial inverse of :func:`f_star`, acting on the
     smallest unpaired letter of block ``i+1``."""
-    return _raise(f, i, pairing(f, i))
-
-
-def _lower(f: DecreasingFactorization, i: int, p: Pairing) -> DecreasingFactorization | None:
-    if not p.unpaired_lower:
-        return None
-    x = p.unpaired_lower[0]
-    lo, up = f.factor(i), f.factor(i + 1)
-    neighbour = x + 1 in lo and x + 1 in up
-    gone = x + 1 if neighbour and not mutations.enabled(mutations.FSTAR_NEIGHBOR_CASE_OFF) else x
-    return f.replace_factors({i: _remove(lo, gone), i + 1: _insert_desc(up, x)})
-
-
-def _raise(f: DecreasingFactorization, i: int, p: Pairing) -> DecreasingFactorization | None:
-    if not p.unpaired_upper:
-        return None
-    y = p.unpaired_upper[0]
-    lo, up = f.factor(i), f.factor(i + 1)
-    gone = y - 1 if y - 1 in lo and y - 1 in up else y
-    up = _remove(up, gone)
-    return f.replace_factors({i: _insert_desc(lo, y), i + 1: up})
+    return _built(f, _images(f, i)[1])
 
 
 def phi(f: DecreasingFactorization, i: int) -> int:

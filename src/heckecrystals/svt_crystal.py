@@ -23,14 +23,16 @@ from . import mutations
 from .errors import ValidationError
 from .graphs import ColoredDigraph, build_component
 from .tableaux import (
+    Geometry,
     SetValuedFilling,
     SkewSetValuedTableau,
     Tableau,
+    from_flat,
     weight_of,
 )
 
-__all__ = ["Signature", "signature", "svt_step", "f_svt", "e_svt", "phi_svt", "epsilon_svt",
-           "f_classical", "e_classical", "crystal_graph_svt"]
+__all__ = ["Signature", "signature", "svt_moves", "svt_step", "f_svt", "e_svt", "phi_svt",
+           "epsilon_svt", "f_classical", "e_classical", "crystal_graph_svt"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,15 @@ class Signature:
     unpaired_plus: tuple[int, ...]
 
 
-def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
+def _bracket(columns: tuple[tuple[int, ...], ...], flat: tuple, i: int
+             ) -> tuple[list[int], list[int]]:
+    """The unpaired minus and plus columns (numbered from 1) of letter ``i``."""
     if i < 1:
         raise ValidationError("letter index must be positive")
-    flat = t.flat()
-    if isinstance(t, Tableau):
-        flat = tuple((v,) for v in flat)
+    bracket = not mutations.enabled(mutations.SVT_BRACKET_OFF)
     minus: list[int] = []
-    plus_stack: list[int] = []
-    for j, column in enumerate(t.shape.geometry.columns, start=1):
+    plus: list[int] = []
+    for j, column in enumerate(columns, start=1):
         has_i = has_i1 = False
         for k in column:
             cell = flat[k]
@@ -60,53 +62,73 @@ def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
         if has_i == has_i1:
             continue
         if not has_i:
-            plus_stack.append(j)
-        elif plus_stack:
-            plus_stack.pop()
+            plus.append(j)
+        elif plus and bracket:
+            plus.pop()
         else:
             minus.append(j)
-    return Signature(tuple(minus), tuple(plus_stack))
+    return minus, plus
 
 
-def _move(t: SetValuedFilling, column: int, old: int, new: int, side: int,
-          donate: bool = True) -> SetValuedFilling:
-    """Turn ``old`` into ``new`` in the lowest cell of ``column`` holding it; if ``donate``
-    and the neighbour on ``side`` holds both, it loses ``old`` and the cell gains ``new``."""
-    geo, flat = t.shape.geometry, t.flat()
+def svt_moves(geo: Geometry, flat: tuple, i: int) -> tuple[tuple | None, tuple | None]:
+    """The flat cells of ``f_svt`` and ``e_svt`` of the filling with flat cells ``flat``
+    on a shape of geometry ``geo``, None where undefined, from one signature.  Nothing
+    is validated: :func:`svt_step` and the other wrappers build what they return."""
+    minus, plus = _bracket(geo.columns, flat, i)
+    donate = not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
+    return (_move(geo, flat, minus[-1], i, i + 1, +1, donate) if minus else None,
+            _move(geo, flat, plus[0], i + 1, i, -1, True) if plus else None)
+
+
+def _move(geo: Geometry, flat: tuple, column: int, old: int, new: int, side: int,
+          donate: bool) -> tuple:
+    """``flat`` with ``old`` turned into ``new`` in the lowest cell of ``column`` holding it;
+    if ``donate`` and the neighbour on ``side`` holds both, it loses ``old`` and the cell
+    gains ``new``."""
     k = next(k for k in geo.columns[column - 1] if old in flat[k])
-    (r, c), b = geo.cells[k], flat[k]
+    r, c = geo.cells[k]
     n = geo.index.get((r, c + side))
-    other = () if n is None else flat[n]
-    if donate and old in other and new in other:
-        return t.with_cells({(r, c): tuple(sorted(b + (new,))),
-                             (r, c + side): tuple(v for v in other if v != old)})
-    return t.with_cells({(r, c): tuple(sorted([v for v in b if v != old] + [new]))})
+    cells = list(flat)
+    if donate and n is not None and old in flat[n] and new in flat[n]:
+        cells[k] = tuple(sorted(flat[k] + (new,)))
+        cells[n] = tuple(v for v in flat[n] if v != old)
+    else:
+        cells[k] = tuple(sorted([v for v in flat[k] if v != old] + [new]))
+    return tuple(cells)
+
+
+def _singletons(t: SetValuedFilling | Tableau) -> tuple:
+    """The flat cells of ``t``, each cell of a single-valued tableau as a 1-tuple."""
+    return tuple((v,) for v in t.flat()) if isinstance(t, Tableau) else t.flat()
+
+
+def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
+    minus, plus = _bracket(t.shape.geometry.columns, _singletons(t), i)
+    return Signature(tuple(minus), tuple(plus))
+
+
+def _built(t: SetValuedFilling | Tableau, flat: tuple | None):
+    """The filling of ``t``'s class and shape with flat cells ``flat``, validated."""
+    if flat is None:
+        return None
+    if isinstance(t, Tableau):
+        flat = tuple(v for (v,) in flat)
+    return from_flat(t.shape, flat, type(t))
 
 
 def svt_step(t: SetValuedFilling, i: int
              ) -> tuple[SetValuedFilling | None, SetValuedFilling | None]:
     """``(f_svt(t, i), e_svt(t, i))`` from one signature."""
-    sig = signature(t, i)
-    return _lower(t, i, sig), _raise(t, i, sig)
+    lowered, raised = svt_moves(t.shape.geometry, t.flat(), i)
+    return _built(t, lowered), _built(t, raised)
 
 
 def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
-    return _lower(t, i, signature(t, i))
+    return _built(t, svt_moves(t.shape.geometry, t.flat(), i)[0])
 
 
 def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
-    return _raise(t, i, signature(t, i))
-
-
-def _lower(t: SetValuedFilling, i: int, sig: Signature) -> SetValuedFilling | None:
-    if not sig.unpaired_minus:
-        return None
-    return _move(t, sig.unpaired_minus[-1], i, i + 1, +1,
-                 not mutations.enabled(mutations.FSVT_EXCEPTION_OFF))
-
-
-def _raise(t: SetValuedFilling, i: int, sig: Signature) -> SetValuedFilling | None:
-    return _move(t, sig.unpaired_plus[0], i + 1, i, -1) if sig.unpaired_plus else None
+    return _built(t, svt_moves(t.shape.geometry, t.flat(), i)[1])
 
 
 def phi_svt(t: SetValuedFilling, i: int) -> int:
@@ -117,28 +139,15 @@ def epsilon_svt(t: SetValuedFilling, i: int) -> int:
     return len(signature(t, i).unpaired_plus)
 
 
-def _relabel(t: Tableau, column: int, old: int, new: int) -> Tableau:
-    """``t`` with the lowest ``old`` in ``column`` replaced by ``new``."""
-    geo, flat = t.shape.geometry, t.flat()
-    k = next(k for k in geo.columns[column - 1] if flat[k] == old)
-    return t.with_cells({geo.cells[k]: new})
-
-
 def f_classical(t: Tableau, i: int) -> Tableau | None:
     """Classical lowering operator on a single-valued tableau: the
     restriction of :func:`f_svt` to singleton cells."""
-    sig = signature(t, i)
-    if not sig.unpaired_minus:
-        return None
-    return _relabel(t, sig.unpaired_minus[-1], i, i + 1)
+    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[0])
 
 
 def e_classical(t: Tableau, i: int) -> Tableau | None:
     """Classical raising operator: the restriction of :func:`e_svt`."""
-    sig = signature(t, i)
-    if not sig.unpaired_plus:
-        return None
-    return _relabel(t, sig.unpaired_plus[0], i + 1, i)
+    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[1])
 
 
 def crystal_graph_svt(seed: SkewSetValuedTableau, m: int) -> ColoredDigraph:

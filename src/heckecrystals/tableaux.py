@@ -22,12 +22,16 @@ it, and cache their hash.
 Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;
 each tableau class states only whether rows and columns increase weakly or
-strictly.  Operators, insertion and uncrowding build the tableaux they
-return through the same constructors, so a broken operator fails where it
-returns a bad tableau; their intermediate steps work on plain lists of rows
-and build none.  A trusted constructor would be a second construction
-path, and it would let exactly the faults that the mutation tests inject
-pass unseen.
+strictly.  The public operators, insertion and uncrowding build the
+tableaux they return through the same constructors (:func:`from_flat` for
+an operator's flat cells), so a broken operator fails where it returns a
+bad tableau; their intermediate steps work on plain rows or flat cells and
+build none.  The verification checks instead look each operator image up,
+by its flat cells, among the enumerated fillings of its shape, which are
+closed under the operators; only a miss is built, so an invalid image
+raises as the constructor does.  A trusted constructor would be a second
+construction path, and it would let exactly the faults that the mutation
+tests inject pass unseen.
 
 :func:`svt_fillings` is the one enumerator of fillings: every
 semistandard set-valued filling of a shape, the semistandard tableaux
@@ -38,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
-from typing import Any, ClassVar, Iterator, Mapping
+from itertools import chain, combinations, islice
+from typing import Any, ClassVar, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .hecke import HeckeWord
@@ -57,6 +61,7 @@ __all__ = [
     "weight_of",
     "excess_of",
     "row_word",
+    "from_flat",
     "svt_fillings",
 ]
 
@@ -389,6 +394,13 @@ def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
     return cls(shape, rows)
 
 
+def from_flat(shape: SkewShape, flat: Sequence, cls: type = SkewSetValuedTableau
+              ) -> SetValuedFilling | Tableau:
+    """The filling of class ``cls`` on ``shape`` whose flat cells are ``flat``."""
+    cells = iter(flat)
+    return cls(shape, tuple(tuple(islice(cells, len(row))) for row in shape.geometry.rows))
+
+
 def svt_fillings(shape: SkewShape, m: int,
                  max_excess: int | None = None) -> Iterator[SkewSetValuedTableau]:
     """Every semistandard set-valued filling of ``shape`` with entries at
@@ -401,7 +413,7 @@ def svt_fillings(shape: SkewShape, m: int,
 
     def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
         if len(flat) == len(before):
-            yield from_cells(shape, dict(zip(geo.cells, flat)))
+            yield from_flat(shape, flat)
             return
         left, below = before[len(flat)]
         lo = flat[left][-1] if left is not None else 1

@@ -39,10 +39,10 @@ from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elemen
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, e3, f3, step3
 from .residue import res, res_inv, res_inv_shaped
-from .star_crystal import f_star, pairing, star_step
-from .svt_crystal import f_classical, f_svt, svt_step
-from .tableaux import (SemistandardTableau, SkewSetValuedTableau, SkewShape, excess_of,
-                       row_word, svt_fillings, weight_of)
+from .star_crystal import _check_domain, f_star, pairing, star_moves, star_step
+from .svt_crystal import f_classical, svt_moves, svt_step
+from .tableaux import (SemistandardTableau, SkewShape, excess_of, from_flat, row_word,
+                       svt_fillings, weight_of)
 from .uncrowding import _star_tilde, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
@@ -299,21 +299,40 @@ def _once(table: dict, fn: Callable, x: Hashable, *args):
     return out
 
 
+def _node(ids: dict[tuple, int], shape: SkewShape, flat: tuple | None) -> int | None:
+    """The id of the operator image ``flat`` among the enumerated fillings of ``shape``
+    (keyed by their flat cells), None for no image.  A miss is built, so that an invalid
+    image raises as the constructor does; a valid one outside the fillings reads -1."""
+    if flat is None:
+        return None
+    k = ids.get(flat)
+    if k is None:
+        from_flat(shape, flat)
+        return -1
+    return k
+
+
 @_check("residue-intertwining", Bounds(m=3, max_cells=4, max_rows=4, max_cols=4),
         deep=Bounds(m=3, max_cells=6, max_rows=4, max_cols=4))
 def _check_residue_intertwining(b: Bounds) -> Witnesses:
-    """res maps the tableau operators to the factorization operators; an image keeps
-    the shape, so residues are computed once per filling, keyed by the image, and each
-    side's bracket once per (filling, letter)."""
+    """res maps the tableau operators to the factorization operators.  The fillings of
+    a shape are closed under the tableau operators, so each image is looked up among
+    them by its flat cells and compared with the star image of the filling's residue,
+    and res runs once per filling."""
     for shape in skew_shapes(b):
-        table: dict[SkewSetValuedTableau, DecreasingFactorization] = {}
-        for t in svt_fillings(shape, b.m):
-            f = _once(table, res, t, b.m)
+        nodes = list(svt_fillings(shape, b.m))
+        ids = {t.flat(): k for k, t in enumerate(nodes)}
+        residues = [res(t, b.m) for t in nodes]
+        for t, flat, f in zip(nodes, ids, residues):
             for i in range(1, b.m):
                 yield None
-                for t2, f2, tag in zip(svt_step(t, i), star_step(f, i), ("lower", "raise")):
-                    lhs = None if t2 is None else _once(table, res, t2, b.m).factors
-                    rhs = None if f2 is None else f2.factors
+                images = [_node(ids, shape, u) for u in svt_moves(shape.geometry, flat, i)]
+                _check_domain(f, i)
+                for k, rhs, tag in zip(images, star_moves(f.factors, i), ("lower", "raise")):
+                    if k == -1:
+                        yield f"{tag} {i} on {shape}: {t.rows} leaves the fillings"
+                        continue
+                    lhs = None if k is None else residues[k].factors
                     if lhs != rhs:
                         yield f"{tag} {i} on {shape}: {t.rows} -> {lhs} vs {rhs}"
 
@@ -432,23 +451,24 @@ def _check_uncrowding_compat(b: Bounds) -> Witnesses:
 @_check("uncrowding-intertwining",
         Bounds(m=3, max_cells=5, max_rows=4, max_cols=4, max_excess=2))
 def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
-    """Uncrowding commutes with the crystal operators and fixes the recording side;
-    an image keeps shape and excess, so each filling is uncrowded once per shape."""
+    """Uncrowding commutes with the crystal operators and fixes the recording side.  An
+    image keeps shape and excess, so it is looked up among the shape's fillings by its
+    flat cells, and each filling is uncrowded once."""
     for shape in skew_shapes(b):
-        table: dict[SkewSetValuedTableau, tuple] = {}
-        for t in svt_fillings(shape, b.m, max_excess=b.max_excess):
-            p1, q1 = _once(table, uncrowd, t)
+        nodes = list(svt_fillings(shape, b.m, max_excess=b.max_excess))
+        ids = {t.flat(): k for k, t in enumerate(nodes)}
+        uncrowded = [uncrowd(t) for t in nodes]
+        for t, flat, (p1, q1) in zip(nodes, ids, uncrowded):
             for i in range(1, b.m):
                 yield None
-                t2 = f_svt(t, i)
+                k = _node(ids, shape, svt_moves(shape.geometry, flat, i)[0])
                 p2 = f_classical(p1, i)
-                if (t2 is None) != (p2 is None):
+                if (k is None) != (p2 is None):
                     yield f"definedness differs for {t.rows} color {i}"
                     continue
-                if t2 is None:
-                    continue
-                p3, q3 = _once(table, uncrowd, t2)
-                if p3 != p2 or q3 != q1:
+                if k == -1:
+                    yield f"lower {i} on {shape}: {t.rows} leaves the fillings"
+                elif k is not None and uncrowded[k] != (p2, q1):
                     yield f"uncrowding fails to intertwine for {t.rows} color {i}"
 
 

@@ -115,3 +115,25 @@ def test_ssyt_enumeration_counts():
     assert count((2, 1), 3) == 8  # dimension of the adjoint
     assert count((1,), 4) == 4
     assert count((2, 1, 1), 2) == 0
+
+
+def test_symmetry_check_is_fast_in_many_variables():
+    """``s_1`` in 600 variables has 600 exponents of length 600; checking its
+    symmetry no longer tries every adjacent transposition on each of them."""
+    import time
+
+    p = schur_dict((1,), 600)
+    start = time.perf_counter()
+    assert schur_expand(p, 600) == {(1,): 1}
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("poly, problem", [
+    pytest.param({(1, 0, 0): 1, (0, 1, 0): 1}, "2 of the 3 rearrangements of",
+                 id="missing-rearrangement"),
+    pytest.param({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2}, "has coefficient",
+                 id="unequal-coefficient"),
+])
+def test_expand_rejects_each_kind_of_asymmetry(poly, problem):
+    with pytest.raises(ValidationError, match=f"^polynomial is not symmetric: .*{problem}"):
+        schur_expand(poly, 3)

@@ -221,3 +221,37 @@ def test_operator_rewrites_pairs_once_per_letter(monkeypatch):
     calls = _counting(monkeypatch, [star_crystal], "pairing")
     assert check_theorem("operator-rewrites", b).ok
     assert len(calls) == len(list(fc_factorizations(b))) * (b.m - 1)
+
+
+@pytest.mark.parametrize("name, apply", [("residue-intertwining", "res"),
+                                         ("uncrowding-intertwining", "uncrowd")])
+def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply):
+    """Each operator image is looked up among the enumerated fillings of its
+    shape: the check constructs one SkewSetValuedTableau per filling and runs
+    ``res`` or ``uncrowd`` once on each."""
+    from heckecrystals import verification
+    from heckecrystals.tableaux import SkewSetValuedTableau
+    from heckecrystals.verification import skew_shapes, svt_fillings
+
+    b = SMALL[name]
+    excess = b.max_excess if name == "uncrowding-intertwining" else None
+    key = lambda t: (t.shape, t.rows)  # noqa: E731
+    fillings = {key(t) for shape in skew_shapes(b) for t in svt_fillings(shape, b.m, excess)}
+    built = _counting(monkeypatch, [SkewSetValuedTableau], "__post_init__")
+    applied = _counting(monkeypatch, [verification], apply)
+    report = check_theorem(name, b)
+    assert report.ok and report.instances == len(fillings) * (b.m - 1)
+    assert len(built) == len(applied) == len(fillings)
+    assert set(map(key, built)) == set(map(key, applied)) == fillings
+
+
+@pytest.mark.parametrize("name", ["residue-intertwining", "stembridge-svt",
+                                  "uncrowding-intertwining"])
+def test_mutated_svt_bracket_is_caught(name):
+    """With a plus never cancelling a minus in the column signature, each of
+    these checks fills its 50 witnesses and the suppression line."""
+    assert check_theorem(name, SMALL[name]).ok
+    with mutations.mutation(mutations.SVT_BRACKET_OFF):
+        report = check_theorem(name, SMALL[name])
+    assert len(report.failures) == 51
+    assert report.failures[50] == "... further failures suppressed"
