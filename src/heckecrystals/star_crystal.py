@@ -3,10 +3,11 @@
 The lowering operator ``f_star(·, i)`` moves one letter from block ``i``
 to block ``i+1`` after a greedy pairing between the two blocks; pairing
 uses "smallest partner weakly above", which is what distinguishes this
-structure from the classical reduced-word crystal.  All operators
-reject factorizations whose underlying element contains a 321 pattern,
-since the case analysis is only well defined on the fully-commutative
-set.
+structure from the classical reduced-word crystal.  One core,
+:func:`star_moves`, takes the blocks and returns both images' blocks,
+unvalidated.  The public operators wrap it: they reject factorizations
+whose element contains a 321 pattern, since the case analysis is only
+well defined on the fully-commutative set, and build what they return.
 """
 
 from __future__ import annotations

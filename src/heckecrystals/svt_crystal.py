@@ -7,17 +7,17 @@ turns the ``i`` in the rightmost unpaired minus column into ``i+1``,
 except that a right neighbor holding both letters donates instead
 (keeping the filling semistandard without moving the column signature).
 
-Classical crystal operators on single-valued semistandard tableaux are
-the restriction of these maps to all-singleton fillings, so the module
-also serves as the operator backend for recording tableaux.  They read
-the same column signature off the tableau itself: a singleton cell never
-holds both letters, so the donating case cannot arise, and the operator
-only relabels the lowest cell of the chosen column.
+One core, :func:`svt_moves`, does both: flat cells in, the lowered and
+raised flat cells out, nothing built or validated.  The public operators
+wrap it and build what they return.  The classical operators on
+single-valued tableaux (the backend for recording tableaux) are the same
+maps on singleton cells, where the donating case cannot arise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import mutations
 from .errors import ValidationError
@@ -99,7 +99,7 @@ def _move(geo: Geometry, flat: tuple, column: int, old: int, new: int, side: int
 
 def _singletons(t: SetValuedFilling | Tableau) -> tuple:
     """The flat cells of ``t``, each cell of a single-valued tableau as a 1-tuple."""
-    return tuple((v,) for v in t.flat()) if isinstance(t, Tableau) else t.flat()
+    return tuple(zip(t.flat())) if isinstance(t, Tableau) else t.flat()
 
 
 def signature(t: SetValuedFilling | Tableau, i: int) -> Signature:
@@ -112,7 +112,7 @@ def _built(t: SetValuedFilling | Tableau, flat: tuple | None):
     if flat is None:
         return None
     if isinstance(t, Tableau):
-        flat = tuple(v for (v,) in flat)
+        flat = tuple(chain.from_iterable(flat))
     return from_flat(t.shape, flat, type(t))
 
 

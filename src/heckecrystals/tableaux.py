@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, islice
-from typing import Any, ClassVar, Iterator, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Any, ClassVar, Iterator, Mapping
 
 from .errors import ValidationError
 from .hecke import HeckeWord
@@ -394,11 +394,14 @@ def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
     return cls(shape, rows)
 
 
-def from_flat(shape: SkewShape, flat: Sequence, cls: type = SkewSetValuedTableau
+def from_flat(shape: SkewShape, flat: tuple, cls: type = SkewSetValuedTableau
               ) -> SetValuedFilling | Tableau:
     """The filling of class ``cls`` on ``shape`` whose flat cells are ``flat``."""
-    cells = iter(flat)
-    return cls(shape, tuple(tuple(islice(cells, len(row))) for row in shape.geometry.rows))
+    rows, k = [], 0
+    for row in shape.geometry.rows:
+        rows.append(flat[k:k + len(row)])
+        k += len(row)
+    return cls(shape, tuple(rows))
 
 
 def svt_fillings(shape: SkewShape, m: int,
@@ -413,7 +416,7 @@ def svt_fillings(shape: SkewShape, m: int,
 
     def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
         if len(flat) == len(before):
-            yield from_flat(shape, flat)
+            yield from_flat(shape, tuple(flat))
             return
         left, below = before[len(flat)]
         lo = flat[left][-1] if left is not None else 1

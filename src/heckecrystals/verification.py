@@ -453,22 +453,23 @@ def _check_uncrowding_compat(b: Bounds) -> Witnesses:
 def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
     """Uncrowding commutes with the crystal operators and fixes the recording side.  An
     image keeps shape and excess, so it is looked up among the shape's fillings by its
-    flat cells, and each filling is uncrowded once."""
+    flat cells; each filling is uncrowded once, and the classical image of its P is
+    computed on P's flat cells, as singletons, through the same core."""
     for shape in skew_shapes(b):
         nodes = list(svt_fillings(shape, b.m, max_excess=b.max_excess))
         ids = {t.flat(): k for k, t in enumerate(nodes)}
-        uncrowded = [uncrowd(t) for t in nodes]
-        for t, flat, (p1, q1) in zip(nodes, ids, uncrowded):
+        uncrowded = [(p.shape, tuple(zip(p.flat())), q) for p, q in map(uncrowd, nodes)]
+        for t, flat, (p_shape, p_flat, q) in zip(nodes, ids, uncrowded):
             for i in range(1, b.m):
                 yield None
                 k = _node(ids, shape, svt_moves(shape.geometry, flat, i)[0])
-                p2 = f_classical(p1, i)
+                p2 = svt_moves(p_shape.geometry, p_flat, i)[0]
                 if (k is None) != (p2 is None):
                     yield f"definedness differs for {t.rows} color {i}"
                     continue
                 if k == -1:
                     yield f"lower {i} on {shape}: {t.rows} leaves the fillings"
-                elif k is not None and uncrowded[k] != (p2, q1):
+                elif k is not None and uncrowded[k] != (p_shape, p2, q):
                     yield f"uncrowding fails to intertwine for {t.rows} color {i}"
 
 
