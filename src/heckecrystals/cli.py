@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .factorization import enumerate_factorizations, to_biword
 from .grothendieck import schur_coeffs_via_crystal, series_via_expansion
 from .hecke import eval_word
-from .insertion import hecke_insert, star_insert
+from .insertion import InsertionResult, hecke_insert, star_insert
 from .local3 import crystal_graph_local3
 from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import crystal_graph
@@ -37,17 +37,16 @@ def _read_payload(args) -> str:
     return sys.stdin.read()
 
 
-def _pair_to_json(p, q) -> dict:
-    return {key: (formats.tableau_to_json if isinstance(tab, Tableau) else
-                  formats.filling_to_json)(tab) for key, tab in (("P", p), ("Q", q))}
-
-
-def _print_pair(p, q, form: str, extra: dict | None = None) -> None:
-    """P and Q as text, or as one JSON object together with ``extra``."""
-    if form == "text":
-        print(f"P:\n{pretty(p)}\nQ:\n{pretty(q)}")
-    else:
-        print(json.dumps({**_pair_to_json(p, q), **(extra or {})}))
+def _result_to_json(result: InsertionResult) -> dict:
+    out: dict = {}
+    for key, tab in (("P", result.p), ("Q", result.q)):
+        if isinstance(tab, Tableau):
+            out[key] = formats.tableau_to_json(tab)
+        else:
+            out[key] = formats.filling_to_json(tab)
+    if result.trace is not None:
+        out["trace"] = [[list(cell) for cell in path] for path in result.trace]
+    return out
 
 
 def _cmd_enumerate(args) -> int:
@@ -72,9 +71,13 @@ def _cmd_insert(args) -> int:
         biword = formats.parse_biword(text)
     algo = hecke_insert if args.algo == "hecke" else star_insert
     result = algo(biword, trace=args.trace)
-    trace = None if result.trace is None else {
-        "trace": [[list(cell) for cell in path] for path in result.trace]}
-    _print_pair(result.p, result.q, args.format, trace)
+    if args.format == "text":
+        print("P:")
+        print(pretty(result.p))
+        print("Q:")
+        print(pretty(result.q))
+    else:
+        print(json.dumps(_result_to_json(result)))
     return 0
 
 
@@ -94,7 +97,15 @@ def _cmd_residue(args) -> int:
 
 def _cmd_uncrowd(args) -> int:
     t = formats.filling_from_json(formats.loads(_read_payload(args)))
-    _print_pair(*uncrowd(t), args.format)
+    p, q = uncrowd(t)
+    payload = {"P": formats.tableau_to_json(p), "Q": formats.tableau_to_json(q)}
+    if args.format == "text":
+        print("P:")
+        print(pretty(p))
+        print("Q:")
+        print(pretty(q))
+    else:
+        print(json.dumps(payload))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import DomainError, ValidationError
 from .factorization import enumerate_factorizations, excess, weight
@@ -86,18 +86,16 @@ def grothendieck_poly(w: HeckeElement, m: int, max_beta: int) -> GradedPoly:
 def _check_symmetric(p: Poly) -> None:
     """Per sorted exponent, one coefficient on as many exponents as it has distinct
     rearrangements: then every rearrangement of a monomial carries its coefficient."""
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for expo, c in p.items():
-        groups.setdefault(tuple(sorted(expo)), []).append((expo, c))
-    for key, members in groups.items():
-        (e, c), orbit = members[0], factorial(len(key))
-        for k in Counter(key).values():
-            orbit //= factorial(k)
-        other = next((m for m in members if m[1] != c), None)
-        if other is not None or len(members) != orbit:
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for expo in p:
+        groups.setdefault(tuple(sorted(expo)), []).append(expo)
+    for key, (e, *rest) in groups.items():
+        orbit = factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+        odd = next((x for x in rest if p[x] != p[e]), None)
+        if odd is not None or 1 + len(rest) != orbit:
             raise ValidationError("polynomial is not symmetric: " + (
-                f"{e} has coefficient {c}, {other[0]} has {other[1]}" if other else
-                f"{len(members)} of the {orbit} rearrangements of {e} are present"))
+                f"{e} has coefficient {p[e]}, {odd} has {p[odd]}" if odd is not None else
+                f"{1 + len(rest)} of the {orbit} rearrangements of {e} are present"))
 
 
 def schur_expand(p: Poly, m: int) -> dict[tuple[int, ...], int]:

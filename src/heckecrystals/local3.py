@@ -165,20 +165,20 @@ def step3(f: DecreasingFactorization, i: int
     return _image(f, i, lowering), _image(f, i, raising)
 
 
-def _string(op, f: DecreasingFactorization, i: int) -> int:
-    """How many times ``op(·, i)`` applies, starting at ``f``."""
-    k = 0
-    while (f := op(f, i)) is not None:
+def phi3(f: DecreasingFactorization, i: int) -> int:
+    k, cur = 0, f
+    while (nxt := f3(cur, i)) is not None:
+        cur = nxt
         k += 1
     return k
 
 
-def phi3(f: DecreasingFactorization, i: int) -> int:
-    return _string(f3, f, i)
-
-
 def epsilon3(f: DecreasingFactorization, i: int) -> int:
-    return _string(e3, f, i)
+    k, cur = 0, f
+    while (nxt := e3(cur, i)) is not None:
+        cur = nxt
+        k += 1
+    return k
 
 
 def crystal_graph_local3(seed: DecreasingFactorization) -> ColoredDigraph:

@@ -98,7 +98,7 @@ def _move(geo: Geometry, flat: tuple, column: int, old: int, new: int, side: int
 
 
 def _singletons(t: SetValuedFilling | Tableau) -> tuple:
-    """The flat cells of ``t``, each cell of a single-valued tableau as a 1-tuple."""
+    """The flat cells of ``t``, those of a single-valued tableau as 1-tuples."""
     return tuple(zip(t.flat())) if isinstance(t, Tableau) else t.flat()
 
 
@@ -116,19 +116,22 @@ def _built(t: SetValuedFilling | Tableau, flat: tuple | None):
     return from_flat(t.shape, flat, type(t))
 
 
-def svt_step(t: SetValuedFilling, i: int
-             ) -> tuple[SetValuedFilling | None, SetValuedFilling | None]:
+def svt_step(t: SetValuedFilling | Tableau, i: int) -> tuple:
     """``(f_svt(t, i), e_svt(t, i))`` from one signature."""
-    lowered, raised = svt_moves(t.shape.geometry, t.flat(), i)
+    lowered, raised = svt_moves(t.shape.geometry, _singletons(t), i)
     return _built(t, lowered), _built(t, raised)
 
 
-def f_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
-    return _built(t, svt_moves(t.shape.geometry, t.flat(), i)[0])
+def f_svt(t: SetValuedFilling | Tableau, i: int) -> SetValuedFilling | Tableau | None:
+    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[0])
 
 
-def e_svt(t: SetValuedFilling, i: int) -> SetValuedFilling | None:
-    return _built(t, svt_moves(t.shape.geometry, t.flat(), i)[1])
+def e_svt(t: SetValuedFilling | Tableau, i: int) -> SetValuedFilling | Tableau | None:
+    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[1])
+
+
+# The classical operators on a single-valued tableau: the restriction to singleton cells.
+f_classical, e_classical = f_svt, e_svt
 
 
 def phi_svt(t: SetValuedFilling, i: int) -> int:
@@ -137,17 +140,6 @@ def phi_svt(t: SetValuedFilling, i: int) -> int:
 
 def epsilon_svt(t: SetValuedFilling, i: int) -> int:
     return len(signature(t, i).unpaired_plus)
-
-
-def f_classical(t: Tableau, i: int) -> Tableau | None:
-    """Classical lowering operator on a single-valued tableau: the
-    restriction of :func:`f_svt` to singleton cells."""
-    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[0])
-
-
-def e_classical(t: Tableau, i: int) -> Tableau | None:
-    """Classical raising operator: the restriction of :func:`e_svt`."""
-    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[1])
 
 
 def crystal_graph_svt(seed: SkewSetValuedTableau, m: int) -> ColoredDigraph:

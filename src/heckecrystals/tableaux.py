@@ -386,17 +386,18 @@ def from_cells(shape: SkewShape, cells: Mapping[tuple[int, int], Any],
                cls: type = SkewSetValuedTableau) -> SetValuedFilling | Tableau:
     """The filling of class ``cls`` on ``shape`` whose cell ``(i, j)`` holds
     ``cells[(i, j)]`` (an ascending tuple for set-valued classes, an int
-    for single-valued ones); the one map from cells to rows."""
+    for single-valued ones)."""
     try:
-        rows = tuple(tuple(map(cells.__getitem__, row)) for row in shape.geometry.rows)
+        flat = tuple(map(cells.__getitem__, shape.geometry.cells))
     except KeyError as exc:
         raise ValidationError(f"missing cell {exc.args[0]}") from None
-    return cls(shape, rows)
+    return from_flat(shape, flat, cls)
 
 
 def from_flat(shape: SkewShape, flat: tuple, cls: type = SkewSetValuedTableau
               ) -> SetValuedFilling | Tableau:
-    """The filling of class ``cls`` on ``shape`` whose flat cells are ``flat``."""
+    """The filling of class ``cls`` on ``shape`` whose flat cells are ``flat``;
+    the one map from flat cells to rows."""
     rows, k = [], 0
     for row in shape.geometry.rows:
         rows.append(flat[k:k + len(row)])

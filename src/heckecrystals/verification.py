@@ -302,13 +302,13 @@ def _once(table: dict, fn: Callable, x: Hashable, *args):
 def _node(ids: dict[tuple, int], shape: SkewShape, flat: tuple | None) -> int | None:
     """The id of the operator image ``flat`` among the enumerated fillings of ``shape``
     (keyed by their flat cells), None for no image.  A miss is built, so that an invalid
-    image raises as the constructor does; a valid one outside the fillings reads -1."""
+    image raises as the constructor does; a valid one outside the fillings raises too."""
     if flat is None:
         return None
     k = ids.get(flat)
     if k is None:
-        from_flat(shape, flat)
-        return -1
+        rows = from_flat(shape, flat).rows
+        raise ValidationError(f"image {rows} on {shape} is outside the enumerated fillings")
     return k
 
 
@@ -329,9 +329,6 @@ def _check_residue_intertwining(b: Bounds) -> Witnesses:
                 images = [_node(ids, shape, u) for u in svt_moves(shape.geometry, flat, i)]
                 _check_domain(f, i)
                 for k, rhs, tag in zip(images, star_moves(f.factors, i), ("lower", "raise")):
-                    if k == -1:
-                        yield f"{tag} {i} on {shape}: {t.rows} leaves the fillings"
-                        continue
                     lhs = None if k is None else residues[k].factors
                     if lhs != rhs:
                         yield f"{tag} {i} on {shape}: {t.rows} -> {lhs} vs {rhs}"
@@ -467,9 +464,7 @@ def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
                 if (k is None) != (p2 is None):
                     yield f"definedness differs for {t.rows} color {i}"
                     continue
-                if k == -1:
-                    yield f"lower {i} on {shape}: {t.rows} leaves the fillings"
-                elif k is not None and uncrowded[k] != (p_shape, p2, q):
+                if k is not None and uncrowded[k] != (p_shape, p2, q):
                     yield f"uncrowding fails to intertwine for {t.rows} color {i}"
 
 

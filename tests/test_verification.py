@@ -255,3 +255,18 @@ def test_mutated_svt_bracket_is_caught(name):
         report = check_theorem(name, SMALL[name])
     assert len(report.failures) == 51
     assert report.failures[50] == "... further failures suppressed"
+
+
+def test_an_image_outside_the_enumerated_fillings_is_a_witness(monkeypatch):
+    """With the first filling of every shape left out of the enumeration, the
+    raising image onto it is a valid tableau outside the node table: the
+    check ends with one exception witness that names it."""
+    from heckecrystals import verification
+
+    real = verification.svt_fillings
+    monkeypatch.setattr(verification, "svt_fillings",
+                        lambda shape, m, max_excess=None: list(real(shape, m, max_excess))[1:])
+    report = check_theorem("residue-intertwining", SMALL["residue-intertwining"])
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("exception: ValidationError(")
+    assert "outside the enumerated fillings" in report.failures[0]
