@@ -40,7 +40,7 @@ from .insertion import micro_class, star_insert, star_insert_word, star_inverse,
 from .local3 import all_factorizations3, e3, f3, step3
 from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import _check_domain, f_star, pairing, star_moves, star_step
-from .svt_crystal import f_classical, svt_moves, svt_step
+from .svt_crystal import _singletons, f_classical, svt_moves, svt_step
 from .tableaux import (SemistandardTableau, SkewShape, excess_of, from_flat, row_word,
                        svt_fillings, weight_of)
 from .uncrowding import _star_tilde, uncrowd
@@ -455,7 +455,7 @@ def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
     for shape in skew_shapes(b):
         nodes = list(svt_fillings(shape, b.m, max_excess=b.max_excess))
         ids = {t.flat(): k for k, t in enumerate(nodes)}
-        uncrowded = [(p.shape, tuple(zip(p.flat())), q) for p, q in map(uncrowd, nodes)]
+        uncrowded = [(p.shape, _singletons(p), q) for p, q in map(uncrowd, nodes)]
         for t, flat, (p_shape, p_flat, q) in zip(nodes, ids, uncrowded):
             for i in range(1, b.m):
                 yield None
