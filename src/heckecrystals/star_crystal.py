@@ -77,15 +77,15 @@ def _remove(block: tuple[int, ...], x: int) -> tuple[int, ...]:
     return block[:k] + block[k + 1:]
 
 
-def star_moves(factors: tuple, i: int, unpaired: tuple | None = None
+def star_moves(factors: tuple, i: int, p: Pairing | None = None
                ) -> tuple[tuple | None, tuple | None]:
     """The blocks of ``f_star`` and ``e_star`` at block ``i`` of a fully-commutative
     factorization with blocks ``factors``, None where undefined, from one pairing
-    (``unpaired``, the unpaired letters of a :class:`Pairing`, when already known).
-    Nothing is validated: the wrappers check the domain and build what they return."""
+    (``p``, when already known).  Nothing is validated: the wrappers check the
+    domain through :func:`pairing` and build what they return."""
     k = len(factors) - i                  # block i; block i + 1 sits at k - 1
     lo, up = factors[k], factors[k - 1]
-    lower, upper = unpaired or _pair(lo, up)[1:]
+    lower, upper = (p.unpaired_lower, p.unpaired_upper) if p else _pair(lo, up)[1:]
     lowered = raised = None
     if lower:
         x = lower[0]
@@ -101,11 +101,6 @@ def star_moves(factors: tuple, i: int, unpaired: tuple | None = None
     return lowered, raised
 
 
-def _images(f: DecreasingFactorization, i: int) -> tuple[tuple | None, tuple | None]:
-    p = pairing(f, i)                     # checks the domain
-    return star_moves(f.factors, i, (p.unpaired_lower, p.unpaired_upper))
-
-
 def _built(f: DecreasingFactorization, factors: tuple | None
            ) -> DecreasingFactorization | None:
     return None if factors is None else DecreasingFactorization(factors, f.n)
@@ -114,7 +109,7 @@ def _built(f: DecreasingFactorization, factors: tuple | None
 def star_step(f: DecreasingFactorization, i: int
               ) -> tuple[DecreasingFactorization | None, DecreasingFactorization | None]:
     """``(f_star(f, i), e_star(f, i))`` from one pairing."""
-    lowered, raised = _images(f, i)
+    lowered, raised = star_moves(f.factors, i, pairing(f, i))
     return _built(f, lowered), _built(f, raised)
 
 
@@ -122,13 +117,13 @@ def f_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None
     """Lowering operator: act on the largest unpaired letter ``x`` of
     block ``i``.  When ``x+1`` sits in both blocks, that copy in block
     ``i`` dissolves and ``x`` joins block ``i+1``; otherwise ``x`` moves."""
-    return _built(f, _images(f, i)[0])
+    return _built(f, star_moves(f.factors, i, pairing(f, i))[0])
 
 
 def e_star(f: DecreasingFactorization, i: int) -> DecreasingFactorization | None:
     """Raising operator: partial inverse of :func:`f_star`, acting on the
     smallest unpaired letter of block ``i+1``."""
-    return _built(f, _images(f, i)[1])
+    return _built(f, star_moves(f.factors, i, pairing(f, i))[1])
 
 
 def phi(f: DecreasingFactorization, i: int) -> int:

@@ -23,15 +23,13 @@ Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;
 each tableau class states only whether rows and columns increase weakly or
 strictly.  The public operators, insertion and uncrowding build the
-tableaux they return through the same constructors (:func:`from_flat` for
-an operator's flat cells), so a broken operator fails where it returns a
-bad tableau; their intermediate steps work on plain rows or flat cells and
-build none.  The verification checks instead look each operator image up,
-by its flat cells, among the enumerated fillings of its shape, which are
-closed under the operators; only a miss is built, so an invalid image
-raises as the constructor does.  A trusted constructor would be a second
-construction path, and it would let exactly the faults that the mutation
-tests inject pass unseen.
+tableaux they return through the same constructors, so a broken operator
+fails where it returns a bad tableau; their intermediate steps work on
+plain rows or flat cells and build none.  The verification checks look an
+operator image up, by its flat cells, among the enumerated fillings of its
+shape, which are closed under the operators, and build only a miss.  A
+trusted constructor would be a second construction path, and it would let
+exactly the faults that the mutation tests inject pass unseen.
 
 :func:`svt_fillings` is the one enumerator of fillings: every
 semistandard set-valued filling of a shape, the semistandard tableaux

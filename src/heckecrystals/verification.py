@@ -303,10 +303,8 @@ def _node(ids: dict[tuple, int], shape: SkewShape, flat: tuple | None) -> int | 
     """The id of the operator image ``flat`` among the enumerated fillings of ``shape``
     (keyed by their flat cells), None for no image.  A miss is built, so that an invalid
     image raises as the constructor does; a valid one outside the fillings raises too."""
-    if flat is None:
-        return None
     k = ids.get(flat)
-    if k is None:
+    if k is None and flat is not None:
         rows = from_flat(shape, flat).rows
         raise ValidationError(f"image {rows} on {shape} is outside the enumerated fillings")
     return k
