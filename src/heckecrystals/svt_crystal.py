@@ -50,7 +50,7 @@ def _bracket(columns: tuple[tuple[int, ...], ...], flat: tuple, i: int
         raise ValidationError("letter index must be positive")
     bracket = not mutations.enabled(mutations.SVT_BRACKET_OFF)
     minus: list[int] = []
-    plus: list[int] = []
+    plus_stack: list[int] = []
     for j, column in enumerate(columns, start=1):
         has_i = has_i1 = False
         for k in column:
@@ -62,12 +62,12 @@ def _bracket(columns: tuple[tuple[int, ...], ...], flat: tuple, i: int
         if has_i == has_i1:
             continue
         if not has_i:
-            plus.append(j)
-        elif plus and bracket:
-            plus.pop()
+            plus_stack.append(j)
+        elif plus_stack and bracket:
+            plus_stack.pop()
         else:
             minus.append(j)
-    return minus, plus
+    return minus, plus_stack
 
 
 def svt_moves(geo: Geometry, flat: tuple, i: int) -> tuple[tuple | None, tuple | None]:
