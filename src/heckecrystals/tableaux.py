@@ -16,8 +16,8 @@ the hash.  It is shared per ``(outer, inner)`` through one bounded table,
 which first checks both partitions and their containment: each distinct
 shape is checked once while the table holds it, and an invalid one, which
 the table never keeps, raises on every construction.  Fillings read, build
-(:func:`from_cells`) and change (:meth:`_Filling.with_cells`) cells through
-it, and cache their hash.
+(:func:`from_flat`, :func:`from_cells`) and change
+(:meth:`_Filling.with_cells`) cells through it, and cache their hash.
 
 Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;

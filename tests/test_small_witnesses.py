@@ -14,9 +14,7 @@ from pathlib import Path
 
 from heckecrystals import mutations
 from heckecrystals.verification import check_theorem
-
-sys.path.insert(0, str(Path(__file__).parent))
-from test_verification import SMALL  # noqa: E402
+from test_verification import SMALL
 
 FIXTURE = Path(__file__).parent / "data" / "small_witnesses.json"
 FAULTS = ("clean", mutations.FSTAR_NEIGHBOR_CASE_OFF, mutations.FSVT_EXCEPTION_OFF,
