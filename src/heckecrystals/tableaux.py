@@ -15,9 +15,8 @@ index map, each cell's right and upper neighbour, each column's cells, and
 the hash.  It is shared per ``(outer, inner)`` through one bounded table,
 which first checks both partitions and their containment: each distinct
 shape is checked once while the table holds it, and an invalid one, which
-the table never keeps, raises on every construction.  Fillings read, build
-(:func:`from_flat`, :func:`from_cells`) and change
-(:meth:`_Filling.with_cells`) cells through it, and cache their hash.
+the table never keeps, raises on every construction.  Fillings read and build
+(:func:`from_flat`, :func:`from_cells`) cells through it, and cache their hash.
 
 Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;
@@ -193,16 +192,6 @@ class _Filling:
     def cells(self) -> Iterator[tuple[int, int, Any]]:
         """``(i, j, cell)`` for every cell, bottom row first and left to right."""
         return ((i, j, cell) for (i, j), cell in zip(self.shape.geometry.cells, self.flat()))
-
-    def with_cells(self, changes: Mapping[tuple[int, int], Any]):
-        """This filling with ``changes[(i, j)]`` in cell ``(i, j)``, validated anew."""
-        offsets = self.shape.geometry.offsets
-        rows = list(self.rows)
-        for (i, j), cell in changes.items():
-            self.cell(i, j)   # raises outside the shape
-            row, k = rows[i - 1], j - 1 - offsets[i - 1]
-            rows[i - 1] = row[:k] + (cell,) + row[k + 1:]
-        return type(self)(self.shape, tuple(rows))
 
     def max_entry(self) -> int:
         return max(self._letters(), default=0)

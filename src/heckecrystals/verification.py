@@ -20,27 +20,18 @@ from itertools import combinations, permutations, repeat
 from typing import Callable, Hashable, Iterator
 
 from .errors import ValidationError
-from .factorization import (
-    DecreasingFactorization,
-    enumerate_factorizations,
-    to_biword,
-    weight,
-)
+from .factorization import (DecreasingFactorization, enumerate_factorizations, to_biword,
+                            weight)
 from .graphs import ColoredDigraph, build_component
-from .grothendieck import (
-    grassmannian_element,
-    grothendieck_poly,
-    schur_coeffs_via_crystal,
-    schur_dict,
-    series_via_expansion,
-)
+from .grothendieck import (grassmannian_element, grothendieck_poly, schur_coeffs_via_crystal,
+                           schur_dict, series_via_expansion)
 from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elements,
                     is_fully_commutative)
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, e3, f3, step3
 from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import _check_domain, f_star, pairing, star_moves, star_step
-from .svt_crystal import _singletons, f_classical, svt_moves, svt_step
+from .svt_crystal import _singletons, f_classical, svt_moves
 from .tableaux import (SemistandardTableau, SkewShape, excess_of, from_flat, row_word,
                        svt_fillings, weight_of)
 from .uncrowding import _star_tilde, uncrowd
@@ -257,6 +248,21 @@ def _path(step: dict[int, list[int]], u: int, *colors: int) -> int:
     return u
 
 
+def _table_step(nodes: list, key: Callable, moves: Callable, build: Callable) -> Callable:
+    """A ``build_component`` step mapping the keys of both images, ``moves(u, c)``, back
+    to the enumerated ``nodes`` themselves.  A miss is built once through ``build``, the
+    validating constructor, and kept: an invalid image raises, a valid one is a new node."""
+    table = {key(u): u for u in nodes}
+
+    def node(k):
+        u = table.get(k)
+        if u is None and k is not None:
+            u = table[k] = build(k)
+        return u
+
+    return lambda u, c: tuple(map(node, moves(u, c)))
+
+
 def _audit_graph(seeds, step: Callable, wt: Callable, m: int, where: str = "") -> Witnesses:
     """The Stembridge audit of the crystal graph on ``seeds`` and colors
     ``1..m-1``, plus the character of each component, which must be the
@@ -382,19 +388,23 @@ def _check_insertion_invariance(b: Bounds) -> Witnesses:
 
 @_check("operator-rewrites", Bounds(n=4, m=4, max_letters=6))
 def _check_operator_rewrites(b: Bounds) -> Witnesses:
-    """Crystal moves rewrite the reversed word by micro-moves."""
-    for f in fc_factorizations(b):
-        rev = tuple(reversed(f.flatten().letters))
-        cls = None
-        for i in range(1, f.m):
-            for g, op in zip(star_step(f, i), ("f_star", "e_star")):
-                if g is None:
-                    continue
-                yield None
-                if cls is None:
-                    cls = micro_class(rev)
-                if tuple(reversed(g.flatten().letters)) not in cls:
-                    yield f"{op} {i} of {f} leaves the rewrite class"
+    """Crystal moves rewrite the reversed word by micro-moves.  A micro class keeps the
+    element, so it is closed once per element and found through any of its words."""
+    for fs in _fc_classes(b):
+        classes: dict[tuple[int, ...], frozenset] = {}
+        for f in fs:
+            rev = tuple(reversed(f.flatten().letters))
+            for i in range(1, f.m):
+                for g, op in zip(star_step(f, i), ("f_star", "e_star")):
+                    if g is None:
+                        continue
+                    yield None
+                    cls = classes.get(rev)
+                    if cls is None:
+                        cls = micro_class(rev)
+                        classes.update(dict.fromkeys(cls, cls))
+                    if tuple(reversed(g.flatten().letters)) not in cls:
+                        yield f"{op} {i} of {f} leaves the rewrite class"
 
 
 @_check("recording-intertwining", Bounds(n=4, m=4, max_letters=6))
@@ -509,15 +519,26 @@ def _check_pairing_side_conditions(b: Bounds) -> Witnesses:
 
 @_check("stembridge-star", Bounds(n=5, m=4, max_letters=6))
 def _check_stembridge_star(b: Bounds) -> Witnesses:
-    yield from _audit_graph(fc_factorizations(b), star_step, weight, b.m)
+    """The star crystal keeps the element and letter count, so each image's blocks are
+    looked up among the enumerated factorizations for the audit; a miss is built."""
+    nodes = list(fc_factorizations(b))
+    step = _table_step(nodes, lambda f: f.factors,
+                       lambda f, c: star_moves(f.factors, c, pairing(f, c)),
+                       lambda u: DecreasingFactorization(u, b.n))
+    yield from _audit_graph(nodes, step, weight, b.m)
 
 
 @_check("stembridge-svt", Bounds(m=4, max_cells=6, max_rows=3, max_cols=3),
         deep=Bounds(m=4, max_cells=6, max_rows=4, max_cols=4))
 def _check_stembridge_svt(b: Bounds) -> Witnesses:
+    """A shape's fillings with entries at most m are closed under the operators, so each
+    image's flat cells are looked up among them for the audit; a miss is built."""
     for shape in skew_shapes(b):
-        yield from _audit_graph(svt_fillings(shape, b.m), svt_step,
-                                lambda t: weight_of(t, b.m), b.m, f"{shape}: ")
+        nodes = list(svt_fillings(shape, b.m))
+        step = _table_step(nodes, lambda t: t.flat(),
+                           lambda t, c: svt_moves(shape.geometry, t.flat(), c),
+                           lambda u: from_flat(shape, u))
+        yield from _audit_graph(nodes, step, lambda t: weight_of(t, b.m), b.m, f"{shape}: ")
 
 
 @_check("stembridge-local3", Bounds(m=5, max_letters=6))

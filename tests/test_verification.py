@@ -245,6 +245,41 @@ def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply
     assert set(map(key, built)) == set(map(key, applied)) == fillings
 
 
+def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
+    """Each operator image is looked up among the enumerated factorizations, so
+    the check constructs exactly the factorizations it enumerates."""
+    from heckecrystals.factorization import DecreasingFactorization
+    from heckecrystals.verification import fc_factorizations
+
+    b = SMALL["stembridge-star"]
+    nodes = len(list(fc_factorizations(b)))
+    built = _counting(monkeypatch, [DecreasingFactorization], "__post_init__")
+    report = check_theorem("stembridge-star", b)
+    assert report.ok and report.instances == nodes == 180
+    assert len(built) == nodes
+
+
+def test_stembridge_svt_builds_no_image(monkeypatch):
+    """Each operator image is looked up among the enumerated fillings of its
+    shape: no operator wrapper (``svt_step`` and the others build through
+    ``svt_crystal._built``) and no ``from_flat`` in the check, and, once the
+    Schur characters are known, one construction per enumerated filling."""
+    from heckecrystals import svt_crystal, verification
+    from heckecrystals.tableaux import SkewSetValuedTableau
+    from heckecrystals.verification import skew_shapes, svt_fillings
+
+    b = SMALL["stembridge-svt"]
+    fillings = [t for shape in skew_shapes(b) for t in svt_fillings(shape, b.m)]
+    assert check_theorem("stembridge-svt", b).ok     # fills the Schur memo
+    wrapped = _counting(monkeypatch, [svt_crystal], "_built")
+    rebuilt = _counting(monkeypatch, [verification], "from_flat")
+    built = _counting(monkeypatch, [SkewSetValuedTableau], "__post_init__")
+    report = check_theorem("stembridge-svt", b)
+    assert report.ok and report.instances == len(fillings) == 4_341
+    assert wrapped == rebuilt == []
+    assert len(built) == len(fillings)
+
+
 @pytest.mark.parametrize("name", ["residue-intertwining", "stembridge-svt",
                                   "uncrowding-intertwining"])
 def test_mutated_svt_bracket_is_caught(name):
