@@ -18,6 +18,7 @@ built, and so validated.
 
 from __future__ import annotations
 
+from . import mutations
 from .errors import ValidationError
 from .factorization import DecreasingFactorization, to_biword
 from .insertion import InsertionResult, _check_fc_word, _star_insert_rows, star_insert
@@ -48,7 +49,7 @@ def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int]
 
     # Bump x up through the single-valued rows above r; the letter that
     # finds no larger entry ends its row (or opens a new one).
-    i = r
+    i = min(r + 1, len(rows)) if mutations.enabled(mutations.UNCROWD_BUMP_ROW_OFF) else r
     while i < len(rows):
         cell = next((cell for cell in rows[i] if cell[0] > x), None)
         if cell is None:
