@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .errors import DomainError, ReconstructionError, ValidationError
 from .factorization import DecreasingFactorization
-from .tableaux import SetValuedFilling, SkewSetValuedTableau, SkewShape, from_cells
+from .tableaux import Geometry, SetValuedFilling, SkewSetValuedTableau, SkewShape, from_cells
 
 __all__ = ["res", "res_inv", "res_inv_shaped"]
 
@@ -38,18 +38,20 @@ def res(t: SetValuedFilling, m: int | None = None) -> DecreasingFactorization:
     """Factorization whose block ``k`` lists the diagonal labels of the
     cells of ``t`` containing ``k``, in decreasing order."""
     top = t.max_entry()
-    if m is None:
-        m = top
+    m = top if m is None else m
     if top > m:
         raise ValidationError(f"tableau entry {top} exceeds block count {m}")
+    return _res_flat(t.shape.geometry, t.flat(), m)
+
+
+def _res_flat(geo: Geometry, flat: tuple, m: int) -> DecreasingFactorization:
+    """:func:`res` of the flat cells ``flat``, entries at most ``m``, on geometry ``geo``."""
     blocks: list[list[int]] = [[] for _ in range(m)]
-    for i, j, cell in t.cells():
-        c = t.shape.content(i, j)
+    for c, cell in zip(geo.labels, flat):
         for k in cell:
             blocks[k - 1].append(c)
-    factors = tuple(tuple(sorted(blocks[m - 1 - pos], reverse=True)) for pos in range(m))
-    n = max((c for blk in factors for c in blk), default=0) + 1
-    return DecreasingFactorization(factors, max(n, 1))
+    factors = tuple(tuple(sorted(block, reverse=True)) for block in reversed(blocks))
+    return DecreasingFactorization(factors, max(geo.labels, default=0) + 1)  # no cell is empty
 
 
 def _require_fc(f: DecreasingFactorization, what: str) -> None:
@@ -141,9 +143,8 @@ def res_inv(f: DecreasingFactorization) -> SkewSetValuedTableau:
 def res_inv_shaped(f: DecreasingFactorization, shape: SkewShape) -> SkewSetValuedTableau:
     """The unique filling of ``shape`` with residue ``f``."""
     _require_fc(f, "res_inv_shaped")
-    lowest: dict[int, int] = {}                   # label -> lowest row of shape on it
-    for i, j in shape.geometry.cells:
-        lowest.setdefault(shape.content(i, j), i)
+    geo = shape.geometry
+    lowest = {c: i for (i, _), c in zip(geo.cells[::-1], geo.labels[::-1])}   # label -> lowest row
     cells: dict[tuple[int, int], tuple[int, ...]] = {}
     for run in _runs(f):
         _, anchor = min(run)                      # a cell in the run's lowest row

@@ -7,11 +7,12 @@ turns the ``i`` in the rightmost unpaired minus column into ``i+1``,
 except that a right neighbor holding both letters donates instead
 (keeping the filling semistandard without moving the column signature).
 
-One core, :func:`svt_moves`, does both: flat cells in, the lowered and
-raised flat cells out, nothing built or validated.  The public operators
-wrap it and build what they return.  The classical operators on
-single-valued tableaux (the backend for recording tableaux) are the same
-maps on singleton cells, where the donating case cannot arise.
+The core works on flat cells and builds or validates nothing:
+:func:`svt_moves` gives the lowered and raised cells from one signature, or
+one side alone.  The public operators wrap it and build what they return;
+``f_svt`` and ``e_svt`` compute only their own side.  The classical
+operators on single-valued tableaux (the backend for recording tableaux)
+are the same maps on singleton cells, where the donating case cannot arise.
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ from itertools import chain
 from . import mutations
 from .errors import ValidationError
 from .graphs import ColoredDigraph, build_component
-from .tableaux import (
-    Geometry,
-    SetValuedFilling,
-    SkewSetValuedTableau,
-    Tableau,
-    from_flat,
-    weight_of,
-)
+from .tableaux import (Geometry, SetValuedFilling, SkewSetValuedTableau, Tableau, from_flat,
+                       weight_of)
 
 __all__ = ["Signature", "signature", "svt_moves", "svt_step", "f_svt", "e_svt", "phi_svt",
            "epsilon_svt", "f_classical", "e_classical", "crystal_graph_svt"]
@@ -70,26 +65,27 @@ def _bracket(columns: tuple[tuple[int, ...], ...], flat: tuple, i: int
     return minus, plus_stack
 
 
-def svt_moves(geo: Geometry, flat: tuple, i: int) -> tuple[tuple | None, tuple | None]:
-    """The flat cells of ``f_svt`` and ``e_svt`` of the filling with flat cells ``flat``
-    on a shape of geometry ``geo``, None where undefined, from one signature.  Nothing
-    is validated: :func:`svt_step` and the other wrappers build what they return."""
+def svt_moves(geo: Geometry, flat: tuple, i: int, sides: tuple = (+1, -1)) -> tuple:
+    """The flat cells of ``f_svt`` (side +1) and ``e_svt`` (-1) of the filling with flat
+    cells ``flat`` on a shape of geometry ``geo``, one per entry of ``sides`` and None where
+    undefined, from one signature.  Nothing is validated: the wrappers build their images."""
     minus, plus = _bracket(geo.columns, flat, i)
-    donate = not mutations.enabled(mutations.FSVT_EXCEPTION_OFF)
-    return (_move(geo, flat, minus[-1], i, i + 1, +1, donate) if minus else None,
-            _move(geo, flat, plus[0], i + 1, i, -1, True) if plus else None)
+    return tuple([_move(geo, flat, i, side, minus, plus) for side in sides])
 
 
-def _move(geo: Geometry, flat: tuple, column: int, old: int, new: int, side: int,
-          donate: bool) -> tuple:
-    """``flat`` with ``old`` turned into ``new`` in the lowest cell of ``column`` holding it;
-    if ``donate`` and the neighbour on ``side`` holds both, it loses ``old`` and the cell
-    gains ``new``."""
+def _move(geo: Geometry, flat: tuple, i: int, side: int, minus: list[int], plus: list[int]
+          ) -> tuple | None:
+    """``flat`` with ``i`` turned into ``i + 1`` in the last unpaired minus column (``side``
+    +1) or back in the first plus column (-1); a neighbour on ``side`` with both donates."""
+    if not (minus if side > 0 else plus):
+        return None
+    column, old, new = (minus[-1], i, i + 1) if side > 0 else (plus[0], i + 1, i)
     k = next(k for k in geo.columns[column - 1] if old in flat[k])
     r, c = geo.cells[k]
     n = geo.index.get((r, c + side))
     cells = list(flat)
-    if donate and n is not None and old in flat[n] and new in flat[n]:
+    if (n is not None and old in flat[n] and new in flat[n]
+            and (side < 0 or not mutations.enabled(mutations.FSVT_EXCEPTION_OFF))):
         cells[k] = tuple(sorted(flat[k] + (new,)))
         cells[n] = tuple(v for v in flat[n] if v != old)
     else:
@@ -118,16 +114,15 @@ def _built(t: SetValuedFilling | Tableau, flat: tuple | None):
 
 def svt_step(t: SetValuedFilling | Tableau, i: int) -> tuple:
     """``(f_svt(t, i), e_svt(t, i))`` from one signature."""
-    lowered, raised = svt_moves(t.shape.geometry, _singletons(t), i)
-    return _built(t, lowered), _built(t, raised)
+    return tuple(_built(t, u) for u in svt_moves(t.shape.geometry, _singletons(t), i))
 
 
 def f_svt(t: SetValuedFilling | Tableau, i: int) -> SetValuedFilling | Tableau | None:
-    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[0])
+    return _built(t, *svt_moves(t.shape.geometry, _singletons(t), i, (+1,)))
 
 
 def e_svt(t: SetValuedFilling | Tableau, i: int) -> SetValuedFilling | Tableau | None:
-    return _built(t, svt_moves(t.shape.geometry, _singletons(t), i)[1])
+    return _built(t, *svt_moves(t.shape.geometry, _singletons(t), i, (-1,)))
 
 
 # The classical operators on a single-valued tableau: the restriction to singleton cells.

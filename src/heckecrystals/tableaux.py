@@ -11,28 +11,29 @@ other semistandardness conditions.
 A shape owns its geometry (:class:`Geometry`): row offsets, the cells of
 each row, the flat cells (bottom row first, left to right, so a cell's flat
 index is its place in ``rows`` read one row after another) with a cell to
-index map, each cell's right and upper neighbour, each column's cells, and
-the hash.  It is shared per ``(outer, inner)`` through one bounded table,
-which first checks both partitions and their containment: each distinct
-shape is checked once while the table holds it, and an invalid one, which
-the table never keeps, raises on every construction.  Fillings read and build
-(:func:`from_flat`, :func:`from_cells`) cells through it, and cache their hash.
+index map, each cell's right and upper neighbour and diagonal label, each
+column's cells, and the hash.  It is shared per ``(outer, inner)`` through
+one bounded table, which first checks both partitions and their
+containment: each distinct shape is checked once while the table holds it,
+and an invalid one, which the table never keeps, raises on every
+construction.  Fillings read and build (:func:`from_flat`,
+:func:`from_cells`) cells through it, and cache their hash.
 
 Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;
 each tableau class states only whether rows and columns increase weakly or
-strictly.  The public operators, insertion and uncrowding build the
-tableaux they return through the same constructors, so a broken operator
-fails where it returns a bad tableau; their intermediate steps work on
-plain rows or flat cells and build none.  The verification checks look an
-operator image up, by its flat cells, among the enumerated fillings of its
-shape, which are closed under the operators, and build only a miss.  A
-trusted constructor would be a second construction path, and it would let
-exactly the faults that the mutation tests inject pass unseen.
+strictly.  The public operators, insertion and uncrowding build what they
+return through the same constructors, so a broken operator fails where it
+returns a bad tableau; their cores work on rows or flat cells.  A trusted
+constructor would let the faults that the mutation tests inject pass unseen.
 
-:func:`svt_fillings` is the one enumerator of fillings: every
-semistandard set-valued filling of a shape, the semistandard tableaux
-among them with ``max_excess=0``.
+:func:`svt_fillings` enumerates every semistandard set-valued filling of a
+shape, each validated (the semistandard tableaux among them with
+``max_excess=0``), over :func:`_svt_flats`, which yields their flat cells
+and builds nothing.  The verification checks on fillings run on those flat
+cells, which are valid by construction, and still validate every operator
+output they compare: an image is looked up among the enumerated flat cells
+of its shape and a miss is built, and uncrowding's P and Q are built.
 """
 
 from __future__ import annotations
@@ -45,22 +46,10 @@ from typing import Any, ClassVar, Iterator, Mapping
 from .errors import ValidationError
 from .hecke import HeckeWord
 
-__all__ = [
-    "Geometry",
-    "SkewShape",
-    "SetValuedFilling",
-    "SkewSetValuedTableau",
-    "Tableau",
-    "SemistandardTableau",
-    "RowIncreasingTableau",
-    "IncreasingTableau",
-    "FlaggedIncreasingTableau",
-    "weight_of",
-    "excess_of",
-    "row_word",
-    "from_flat",
-    "svt_fillings",
-]
+__all__ = ["Geometry", "SkewShape", "SetValuedFilling", "SkewSetValuedTableau", "Tableau",
+           "SemistandardTableau", "RowIncreasingTableau", "IncreasingTableau",
+           "FlaggedIncreasingTableau", "weight_of", "excess_of", "row_word", "from_flat",
+           "svt_fillings"]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -74,6 +63,7 @@ class Geometry:
     right: tuple[int, ...]                        # per cell, the flat index of (i, j + 1)
     up: tuple[int, ...]                           # per cell, the flat index of (i + 1, j)
     columns: tuple[tuple[int, ...], ...]          # per column 1..width, lowest cell first
+    labels: tuple[int, ...]                       # per cell, its diagonal label rows + j - i
     hash: int
 
 
@@ -104,7 +94,7 @@ def _geometry(outer: tuple[int, ...], inner: tuple[int, ...]) -> Geometry:
         up=tuple(index.get((i + 1, j), -1) for i, j in cells),
         columns=tuple(tuple(k for k, (_, j) in enumerate(cells) if j == col)
                       for col in range(1, max(outer, default=0) + 1)),
-        hash=hash((outer, inner)))
+        labels=tuple(len(outer) + j - i for i, j in cells), hash=hash((outer, inner)))
 
 
 @dataclass(frozen=True)
@@ -128,10 +118,6 @@ class SkewShape:
 
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
-
-    def content(self, i: int, j: int) -> int:
-        """Diagonal label ``rows + j - i`` of the cell ``(i, j)``."""
-        return self.rows + j - i
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
         return cell in self.geometry.index
@@ -395,16 +381,21 @@ def from_flat(shape: SkewShape, flat: tuple, cls: type = SkewSetValuedTableau
 def svt_fillings(shape: SkewShape, m: int,
                  max_excess: int | None = None) -> Iterator[SkewSetValuedTableau]:
     """Every semistandard set-valued filling of ``shape`` with entries at
-    most ``m`` (and bounded surplus when requested)."""
+    most ``m`` (and bounded surplus when requested), each built and validated."""
+    return (from_flat(shape, flat) for flat in _svt_flats(shape, m, max_excess))
+
+
+def _svt_flats(shape: SkewShape, m: int, max_excess: int | None = None) -> Iterator[tuple]:
+    """The flat cells of :func:`svt_fillings`, in its order, none of them built."""
     geo = shape.geometry
     largest = m if max_excess is None else min(m, max_excess + 1)
     subsets = [s for r in range(1, largest + 1) for s in combinations(range(1, m + 1), r)]
     before = [(geo.index.get((i, j - 1)), geo.index.get((i - 1, j))) for i, j in geo.cells]
     flat: list[tuple[int, ...]] = []
 
-    def rec(extra: int) -> Iterator[SkewSetValuedTableau]:
+    def rec(extra: int) -> Iterator[tuple]:
         if len(flat) == len(before):
-            yield from_flat(shape, tuple(flat))
+            yield tuple(flat)
             return
         left, below = before[len(flat)]
         lo = flat[left][-1] if left is not None else 1

@@ -12,8 +12,9 @@ minimal filling of the inner shape, read as diagonal labels of its cells,
 ahead of the factorization, and strips that minimal filling from both
 tableaux.
 
-Both work on plain lists of rows; only the tableaux they return are
-built, and so validated.
+Both work on plain lists of rows and build only the tableaux they return,
+so validated; the row core of ``uncrowd``, ``_uncrowded``, takes and
+returns flat cells, for the checks that compare them.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from .errors import ValidationError
 from .factorization import DecreasingFactorization, to_biword
 from .insertion import InsertionResult, _check_fc_word, _star_insert_rows, star_insert
 from .residue import res_inv
-from .tableaux import (
-    FlaggedIncreasingTableau,
-    SemistandardTableau,
-    SkewSetValuedTableau,
-    SkewShape,
-    Tableau,
-    from_cells,
-)
+from .tableaux import (FlaggedIncreasingTableau, SemistandardTableau, SkewSetValuedTableau,
+                       SkewShape, Tableau, from_cells, from_flat)
 
 __all__ = ["uncrowd_step", "uncrowd", "t_mu", "star_tilde"]
 
@@ -64,14 +59,10 @@ def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int]
     return (i + 1, outer[i]), r
 
 
-def _lists(t: SkewSetValuedTableau) -> tuple[list[list[list[int]]], list[int]]:
-    return [[list(cell) for cell in row] for row in t.rows], list(t.shape.outer)
-
-
 def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[int, int], int]:
     """One uncrowding step.  Returns the new tableau, the added cell and
     the row the removed letter came from."""
-    rows, outer = _lists(t)
+    rows, outer = [[list(cell) for cell in row] for row in t.rows], list(t.shape.outer)
     step = _uncrowd_rows(rows, outer)
     if step is None:
         raise ValidationError("tableau has no multicell")
@@ -82,15 +73,32 @@ def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[i
 def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncreasingTableau]:
     """Full uncrowding: a single-valued semistandard tableau together
     with the flagged recording tableau on the added cells."""
-    rows, outer = _lists(t)
-    recording: dict[tuple[int, int], int] = {}
+    outer, p_flat, recording = _uncrowded(t.shape, t.flat())
+    return _p_tableau(t.shape, outer, p_flat), _q_tableau(recording, t.shape, outer)
+
+
+def _uncrowded(shape: SkewShape, flat: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The row core of :func:`uncrowd` on the cells ``flat`` of ``shape``, building nothing:
+    P's outer shape, P's flat cells as singletons, Q's cells ``((i, j), label)`` in order."""
+    cells = iter(flat)
+    rows = [[list(next(cells)) for _ in row] for row in shape.geometry.rows]
+    outer, recording = list(shape.outer), []
     while (step := _uncrowd_rows(rows, outer)) is not None:
         added, source = step
-        recording[added] = added[0] - source
-    shape = SkewShape(tuple(outer), t.shape.inner)
-    p = SemistandardTableau(shape, tuple(tuple(cell[0] for cell in row) for row in rows))
-    q = from_cells(SkewShape(shape.outer, t.shape.outer), recording, FlaggedIncreasingTableau)
-    return p, q
+        recording.append((added, added[0] - source))
+    p_flat = tuple(tuple(cell) for row in rows for cell in row)
+    return tuple(outer), p_flat, tuple(sorted(recording))
+
+
+def _p_tableau(shape: SkewShape, outer: tuple, p_flat: tuple) -> SemistandardTableau:
+    """P from :func:`_uncrowded` on ``shape``, built and so validated."""
+    p = tuple(v for v, in p_flat)
+    return from_flat(SkewShape(outer, shape.inner), p, SemistandardTableau)
+
+
+def _q_tableau(recording: tuple, shape: SkewShape, outer: tuple) -> FlaggedIncreasingTableau:
+    """Q from :func:`_uncrowded` on ``shape``, built and so validated."""
+    return from_cells(SkewShape(outer, shape.outer), dict(recording), FlaggedIncreasingTableau)
 
 
 def t_mu(mu: tuple[int, ...]) -> SemistandardTableau:

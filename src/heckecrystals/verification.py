@@ -29,12 +29,12 @@ from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elemen
                     is_fully_commutative)
 from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
 from .local3 import all_factorizations3, e3, f3, step3
-from .residue import res, res_inv, res_inv_shaped
+from .residue import _res_flat, res, res_inv, res_inv_shaped
 from .star_crystal import _check_domain, f_star, pairing, star_moves, star_step
-from .svt_crystal import _singletons, f_classical, svt_moves
-from .tableaux import (SemistandardTableau, SkewShape, excess_of, from_flat, row_word,
-                       svt_fillings, weight_of)
-from .uncrowding import _star_tilde, uncrowd
+from .svt_crystal import f_classical, svt_moves
+from .tableaux import (SemistandardTableau, SkewShape, _svt_flats, excess_of, from_flat,
+                       row_word, svt_fillings, weight_of)
+from .uncrowding import _p_tableau, _q_tableau, _star_tilde, _uncrowded, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
            "available_checks", "default_bounds", "run_all"]
@@ -120,13 +120,9 @@ def skew_shapes(b: Bounds) -> Iterator[SkewShape]:
         if not outer:
             continue
         for inner in partitions_in_box(len(outer), outer[0]):
-            if not 1 <= sum(outer) - sum(inner) <= b.max_cells:
-                continue
-            try:
-                sh = SkewShape(outer, inner)
-            except ValidationError:   # inner not contained in outer
-                continue
-            yield sh
+            if (1 <= sum(outer) - sum(inner) <= b.max_cells
+                    and all(a <= c for a, c in zip(inner, outer))):   # inner inside outer
+                yield SkewShape(outer, inner)
 
 
 def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:
@@ -248,12 +244,10 @@ def _path(step: dict[int, list[int]], u: int, *colors: int) -> int:
     return u
 
 
-def _table_step(nodes: list, key: Callable, moves: Callable, build: Callable) -> Callable:
-    """A ``build_component`` step mapping the keys of both images, ``moves(u, c)``, back
-    to the enumerated ``nodes`` themselves.  A miss is built once through ``build``, the
+def _table_step(table: dict, moves: Callable, build: Callable) -> Callable:
+    """A step mapping the keys of the images ``moves(u, c)`` back to the nodes ``table``
+    holds by key, None for no image.  A miss is built once through ``build``, the
     validating constructor, and kept: an invalid image raises, a valid one is a new node."""
-    table = {key(u): u for u in nodes}
-
     def node(k):
         u = table.get(k)
         if u is None and k is not None:
@@ -305,36 +299,33 @@ def _once(table: dict, fn: Callable, x: Hashable, *args):
     return out
 
 
-def _node(ids: dict[tuple, int], shape: SkewShape, flat: tuple | None) -> int | None:
-    """The id of the operator image ``flat`` among the enumerated fillings of ``shape``
-    (keyed by their flat cells), None for no image.  A miss is built, so that an invalid
-    image raises as the constructor does; a valid one outside the fillings raises too."""
-    k = ids.get(flat)
-    if k is None and flat is not None:
-        rows = from_flat(shape, flat).rows
-        raise ValidationError(f"image {rows} on {shape} is outside the enumerated fillings")
-    return k
+def _outside(shape: SkewShape, flat: tuple):
+    """Raise for the image ``flat`` outside the enumerated fillings of ``shape``, once
+    built: an invalid image raises as the constructor does."""
+    rows = from_flat(shape, flat).rows
+    raise ValidationError(f"image {rows} on {shape} is outside the enumerated fillings")
 
 
 @_check("residue-intertwining", Bounds(m=3, max_cells=4, max_rows=4, max_cols=4),
         deep=Bounds(m=3, max_cells=6, max_rows=4, max_cols=4))
 def _check_residue_intertwining(b: Bounds) -> Witnesses:
-    """res maps the tableau operators to the factorization operators.  The fillings of
-    a shape are closed under the tableau operators, so each image is looked up among
-    them by its flat cells and compared with the star image of the filling's residue,
-    and res runs once per filling."""
+    """res maps the tableau operators to the factorization operators.  Each image is looked
+    up among the flat cells of the shape's fillings, which the operators keep, and compared
+    with the star image of the filling's residue; res runs once per filling, on its cells."""
     for shape in skew_shapes(b):
-        nodes = list(svt_fillings(shape, b.m))
-        ids = {t.flat(): k for k, t in enumerate(nodes)}
-        residues = [res(t, b.m) for t in nodes]
-        for t, flat, f in zip(nodes, ids, residues):
+        geo = shape.geometry
+        ids = {flat: k for k, flat in enumerate(_svt_flats(shape, b.m))}
+        step = _table_step(ids, lambda u, i: svt_moves(geo, u, i), lambda u: _outside(shape, u))
+        residues = [_res_flat(geo, flat, b.m) for flat in ids]
+        for flat, f in zip(ids, residues):
             for i in range(1, b.m):
                 yield None
-                images = [_node(ids, shape, u) for u in svt_moves(shape.geometry, flat, i)]
+                images = step(flat, i)
                 _check_domain(f, i)
                 for k, rhs, tag in zip(images, star_moves(f.factors, i), ("lower", "raise")):
                     lhs = None if k is None else residues[k].factors
                     if lhs != rhs:
+                        t = from_flat(shape, flat)
                         yield f"{tag} {i} on {shape}: {t.rows} -> {lhs} vs {rhs}"
 
 
@@ -438,7 +429,7 @@ def _check_uncrowding_compat(b: Bounds) -> Witnesses:
     diagonal labels read row by row from the top, right to left."""
     done: set[HeckeElement] = set()
     for shape in skew_shapes(b):
-        labels = tuple(shape.content(i, j) for i, j in reversed(shape.geometry.cells))
+        labels = shape.geometry.labels[::-1]
         w = eval_word(HeckeWord(labels, max(labels) + 1))
         if w in done:
             continue
@@ -457,22 +448,28 @@ def _check_uncrowding_compat(b: Bounds) -> Witnesses:
         Bounds(m=3, max_cells=5, max_rows=4, max_cols=4, max_excess=2))
 def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
     """Uncrowding commutes with the crystal operators and fixes the recording side.  An
-    image keeps shape and excess, so it is looked up among the shape's fillings by its
-    flat cells; each filling is uncrowded once, and the classical image of its P is
-    computed on P's flat cells, as singletons, through the same core."""
+    image keeps shape and excess, so it is looked up among the flat cells of the shape's
+    fillings.  Each is uncrowded once on its flat cells; its P is built (so validated) as
+    uncrowd builds it, its Q once per recording, and both sides lower on flat cells."""
     for shape in skew_shapes(b):
-        nodes = list(svt_fillings(shape, b.m, max_excess=b.max_excess))
-        ids = {t.flat(): k for k, t in enumerate(nodes)}
-        uncrowded = [(p.shape, _singletons(p), q) for p, q in map(uncrowd, nodes)]
-        for t, flat, (p_shape, p_flat, q) in zip(nodes, ids, uncrowded):
+        ids = {flat: k for k, flat in enumerate(_svt_flats(shape, b.m, b.max_excess))}
+        step = _table_step(ids, lambda u, i: svt_moves(shape.geometry, u, i, (+1,)),
+                           lambda u: _outside(shape, u))
+        uncrowded, qs = [], {}
+        for flat in ids:
+            outer, p_flat, recording = _uncrowded(shape, flat)
+            uncrowded.append((_p_tableau(shape, outer, p_flat).shape, p_flat, recording))
+            _once(qs, _q_tableau, recording, shape, outer)
+        for flat, (p_shape, p_flat, q) in zip(ids, uncrowded):
             for i in range(1, b.m):
                 yield None
-                k = _node(ids, shape, svt_moves(shape.geometry, flat, i)[0])
-                p2 = svt_moves(p_shape.geometry, p_flat, i)[0]
+                k, = step(flat, i)
+                p2, = svt_moves(p_shape.geometry, p_flat, i, (+1,))
                 if (k is None) != (p2 is None):
-                    yield f"definedness differs for {t.rows} color {i}"
+                    yield f"definedness differs for {from_flat(shape, flat).rows} color {i}"
                     continue
                 if k is not None and uncrowded[k] != (p_shape, p2, q):
+                    t = from_flat(shape, flat)
                     yield f"uncrowding fails to intertwine for {t.rows} color {i}"
 
 
@@ -522,7 +519,7 @@ def _check_stembridge_star(b: Bounds) -> Witnesses:
     """The star crystal keeps the element and letter count, so each image's blocks are
     looked up among the enumerated factorizations for the audit; a miss is built."""
     nodes = list(fc_factorizations(b))
-    step = _table_step(nodes, lambda f: f.factors,
+    step = _table_step({f.factors: f for f in nodes},
                        lambda f, c: star_moves(f.factors, c, pairing(f, c)),
                        lambda u: DecreasingFactorization(u, b.n))
     yield from _audit_graph(nodes, step, weight, b.m)
@@ -532,13 +529,19 @@ def _check_stembridge_star(b: Bounds) -> Witnesses:
         deep=Bounds(m=4, max_cells=6, max_rows=4, max_cols=4))
 def _check_stembridge_svt(b: Bounds) -> Witnesses:
     """A shape's fillings with entries at most m are closed under the operators, so each
-    image's flat cells are looked up among them for the audit; a miss is built."""
+    image's flat cells are looked up among theirs for the audit; a miss is built.  The
+    audit steps all colours of a node in a row, so a node's flat cells are read once."""
     for shape in skew_shapes(b):
-        nodes = list(svt_fillings(shape, b.m))
-        step = _table_step(nodes, lambda t: t.flat(),
-                           lambda t, c: svt_moves(shape.geometry, t.flat(), c),
-                           lambda u: from_flat(shape, u))
-        yield from _audit_graph(nodes, step, lambda t: weight_of(t, b.m), b.m, f"{shape}: ")
+        geo, last = shape.geometry, [None, None]     # the node stepped last, its flat cells
+        table = {flat: from_flat(shape, flat) for flat in _svt_flats(shape, b.m)}
+        def moves(t, c):
+            if t is not last[0]:
+                last[:] = t, t.flat()
+            return svt_moves(geo, last[1], c)
+
+        step = _table_step(table, moves, lambda u: from_flat(shape, u))
+        yield from _audit_graph(list(table.values()), step, lambda t: weight_of(t, b.m), b.m,
+                                f"{shape}: ")
 
 
 @_check("stembridge-local3", Bounds(m=5, max_letters=6))

@@ -98,3 +98,22 @@ def test_inverse_is_least_preimage():
             assert got == min(ts, key=lambda t: (t.shape.rows, t.shape.inner,
                                                  t.shape.outer, t.rows))
     assert in_box == 1150
+
+
+def test_flat_residue_reads_the_diagonal_label_of_each_cell():
+    """``res`` runs on flat cells over the geometry's labels; each letter ``k`` of
+    the cell ``(i, j)`` puts the label ``rows + j - i`` into block ``k``."""
+    from heckecrystals.residue import _res_flat
+
+    checked = 0
+    for shape in skew_shapes(Bounds(m=3, max_cells=3, max_rows=3, max_cols=3)):
+        for t in svt_fillings(shape, 3):
+            blocks = [[] for _ in range(3)]
+            for i, j, cell in t.cells():
+                for k in cell:
+                    blocks[k - 1].append(shape.rows + j - i)
+            expected = tuple(tuple(sorted(b, reverse=True)) for b in reversed(blocks))
+            f = _res_flat(shape.geometry, t.flat(), 3)
+            assert f.factors == expected and f == res(t, 3)
+            checked += 1
+    assert checked == 2_749

@@ -171,3 +171,24 @@ def test_classical_operators_are_the_restriction_of_the_svt_operators():
                 assert e_classical(t, i) == reference(e_svt, t, i)
                 checked += 1
     assert checked > 10_000
+
+
+def test_one_sided_moves_are_one_side_of_both(monkeypatch):
+    """``svt_moves`` with ``sides`` gives exactly the requested images of the
+    two-sided call, and ``f_svt`` and ``e_svt`` each move only their own side."""
+    from heckecrystals import svt_crystal
+    from heckecrystals.svt_crystal import svt_moves
+
+    for shape in skew_shapes(Bounds(m=3, max_cells=3, max_rows=3, max_cols=3)):
+        geo = shape.geometry
+        for t in svt_fillings(shape, 3):
+            for i in (1, 2):
+                both = svt_moves(geo, t.flat(), i)
+                assert svt_moves(geo, t.flat(), i, (+1,)) == both[:1]
+                assert svt_moves(geo, t.flat(), i, (-1,)) == both[1:]
+    moved = []
+    real = svt_crystal._move
+    monkeypatch.setattr(svt_crystal, "_move", lambda *args: moved.append(args[3]) or real(*args))
+    f_svt(T, 1)
+    e_svt(T, 2)
+    assert moved == [+1, -1]

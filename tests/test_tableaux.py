@@ -1,4 +1,6 @@
 import re
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -19,7 +21,7 @@ from heckecrystals.tableaux import (
     svt_fillings,
     weight_of,
 )
-from heckecrystals.verification import Bounds, skew_shapes
+from heckecrystals.verification import Bounds, default_bounds, skew_shapes
 
 
 def test_shape_containment_checked():
@@ -53,9 +55,8 @@ def test_equal_shapes_cost_one_geometry_miss():
 
 def test_shape_contents():
     sh = SkewShape((2, 2), (1,))
-    assert sh.content(1, 2) == 3
-    assert sh.content(2, 1) == 1
     assert sh.geometry.cells == ((1, 2), (2, 1), (2, 2))
+    assert sh.geometry.labels == (3, 1, 2)
 
 
 def _naive_geometry(shape: SkewShape) -> dict:
@@ -74,6 +75,7 @@ def _naive_geometry(shape: SkewShape) -> dict:
             "up": tuple(at((i + 1, j)) for i, j in cells),
             "columns": tuple(tuple(k for k, (_, j) in enumerate(cells) if j == col)
                              for col in range(1, max(shape.outer, default=0) + 1)),
+            "labels": tuple(len(shape.outer) + j - i for i, j in cells),
             "hash": hash((shape.outer, shape.inner))}
 
 
@@ -230,3 +232,50 @@ def test_excess_nonnegative_and_zero_iff_singletons():
         e = excess_of(t)
         assert e >= 0
         assert (e == 0) == all(len(c) == 1 for _, _, c in t.cells())
+
+
+# The SMALL bounds of the two intertwining checks, and the bounds the
+# verify-tableau benchmark runs them at: (bounds, fillings without and with
+# the excess bound).
+FLAT_BOUNDS = {
+    "small": (Bounds(m=3, max_cells=3, max_rows=3, max_cols=3, max_excess=2), 2_749, 2_394),
+    "residue-intertwining": (replace(default_bounds("residue-intertwining"), max_cells=3),
+                             25_070, 20_520),
+    "uncrowding-intertwining": (replace(default_bounds("uncrowding-intertwining"),
+                                        max_cells=3, max_excess=1), 25_070, 13_330),
+}
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["any-excess", "max-excess"])
+@pytest.mark.parametrize("name", sorted(FLAT_BOUNDS))
+def test_flat_enumeration_yields_the_flats_of_the_validated_fillings(name, bounded):
+    """The checks enumerate flat cells through ``_svt_flats``; ``svt_fillings`` builds
+    and validates a filling from each, so both agree in content and order."""
+    b, every, bounded_count = FLAT_BOUNDS[name]
+    excess = b.max_excess if bounded else None
+    total = 0
+    for shape in skew_shapes(b):
+        fillings = list(svt_fillings(shape, b.m, excess))
+        assert {type(t) for t in fillings} <= {SkewSetValuedTableau}
+        assert list(tableaux._svt_flats(shape, b.m, excess)) == [t.flat() for t in fillings]
+        total += len(fillings)
+    assert total == (bounded_count if bounded else every)
+
+
+@pytest.mark.parametrize("excess", [None, 0, 1])
+def test_flat_enumeration_matches_a_brute_force_search(excess):
+    """Every assignment of nonempty subsets of 1..m to the cells, first cell varying
+    slowest, within the excess bound, that the validating constructor accepts."""
+    b = Bounds(m=3, max_cells=3, max_rows=3, max_cols=3)
+    subsets = [s for r in range(1, b.m + 1) for s in combinations(range(1, b.m + 1), r)]
+    for shape in skew_shapes(b):
+        brute = []
+        for flat in product(subsets, repeat=shape.size()):
+            if excess is not None and sum(map(len, flat)) - len(flat) > excess:
+                continue
+            try:
+                from_flat(shape, flat)
+            except ValidationError:
+                continue
+            brute.append(flat)
+        assert list(tableaux._svt_flats(shape, b.m, excess)) == brute, shape

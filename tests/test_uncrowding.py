@@ -217,3 +217,21 @@ def test_star_tilde_is_the_product_biword_insertion():
             assert (type(got.p), type(got.q)) == (type(want.p), type(want.q)), h
             skewed += bool(got.q.shape.inner)
     assert (len(seen), skewed) == (1375, 1288)
+
+
+def test_row_core_gives_the_cells_of_p_and_q():
+    """``_uncrowded`` returns P's outer shape, P's flat cells as singletons and
+    Q's cells in Q's flat order, which ``uncrowd`` builds into P and Q."""
+    from heckecrystals.uncrowding import _uncrowded
+
+    checked = 0
+    for shape in skew_shapes(SMALL):
+        for t in svt_fillings(shape, SMALL.m, max_excess=SMALL.max_excess):
+            outer, p_flat, recording = _uncrowded(shape, t.flat())
+            p, q = uncrowd(t)
+            assert (outer, p.shape.inner, q.shape.inner) == (p.shape.outer, shape.inner,
+                                                             shape.outer)
+            assert p_flat == tuple((v,) for v in p.flat())
+            assert recording == tuple(((i, j), v) for i, j, v in q.cells())
+            checked += 1
+    assert checked == 2394

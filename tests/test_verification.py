@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from heckecrystals import mutations
@@ -139,18 +141,42 @@ def _counting(monkeypatch, modules, name):
     return calls
 
 
+def _calls(monkeypatch, module, name):
+    """Replace ``name`` in ``module`` by a wrapper that records the positional
+    arguments of each call, and return the list of them."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_uncrowding_intertwining_uncrowds_each_filling_once(monkeypatch):
+    """The row core runs once on the flat cells of each filling, in enumeration
+    order; each filling's P is built, so validated, and each shape's Q once per
+    distinct recording: no uncrowd, and no filling built."""
     from heckecrystals import verification
+    from heckecrystals.uncrowding import _uncrowded
     from heckecrystals.verification import skew_shapes, svt_fillings
 
     b = SMALL["uncrowding-intertwining"]
-    calls = _counting(monkeypatch, [verification], "uncrowd")
-    report = check_theorem("uncrowding-intertwining", b)
-    fillings = [t for shape in skew_shapes(b)
+    fillings = [(shape, t.flat()) for shape in skew_shapes(b)
                 for t in svt_fillings(shape, b.m, max_excess=b.max_excess)]
-    assert report.ok and report.instances == len(fillings) * (b.m - 1)
-    assert sorted(map(hash, calls)) == sorted(map(hash, fillings))
-    assert len(calls) == len(fillings)
+    uncrowded = [(shape, *_uncrowded(shape, flat)) for shape, flat in fillings]
+    calls = _counting(monkeypatch, [verification], "uncrowd")
+    cores = _calls(monkeypatch, verification, "_uncrowded")
+    ps = _calls(monkeypatch, verification, "_p_tableau")
+    qs = _calls(monkeypatch, verification, "_q_tableau")
+    report = check_theorem("uncrowding-intertwining", b)
+    assert report.ok and report.instances == len(fillings) * (b.m - 1) == 2_394 * 2
+    assert calls == [] and cores == fillings
+    assert ps == [(shape, outer, p_flat) for shape, outer, p_flat, _ in uncrowded]
+    recordings = {(shape, recording) for shape, _, _, recording in uncrowded}
+    assert len(qs) == len(recordings) == 418
+    assert {(shape, recording) for recording, shape, _ in qs} == recordings
 
 
 def test_uncrowding_compat_inverts_each_residue_once(monkeypatch):
@@ -226,23 +252,27 @@ def test_operator_rewrites_pairs_once_per_letter(monkeypatch):
 @pytest.mark.parametrize("name, apply", [("residue-intertwining", "res"),
                                          ("uncrowding-intertwining", "uncrowd")])
 def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply):
-    """Each operator image is looked up among the enumerated fillings of its
-    shape: the check constructs one SkewSetValuedTableau per filling and runs
-    ``res`` or ``uncrowd`` once on each."""
+    """Each operator image is looked up among the enumerated flat cells of its
+    shape: the check constructs no SkewSetValuedTableau at all, never calls ``res``
+    or ``uncrowd``, and runs their flat core once on the flat cells of each filling."""
     from heckecrystals import verification
     from heckecrystals.tableaux import SkewSetValuedTableau
     from heckecrystals.verification import skew_shapes, svt_fillings
 
     b = SMALL[name]
     excess = b.max_excess if name == "uncrowding-intertwining" else None
-    key = lambda t: (t.shape, t.rows)  # noqa: E731
-    fillings = {key(t) for shape in skew_shapes(b) for t in svt_fillings(shape, b.m, excess)}
+    key = lambda geo, flat: (geo.offsets, geo.cells, flat)  # noqa: E731 - fixes the shape
+    fillings = [key(shape.geometry, t.flat())
+                for shape in skew_shapes(b) for t in svt_fillings(shape, b.m, excess)]
+    core = {"res": "_res_flat", "uncrowd": "_uncrowded"}[apply]
     built = _counting(monkeypatch, [SkewSetValuedTableau], "__post_init__")
-    applied = _counting(monkeypatch, [verification], apply)
+    wrapped = _counting(monkeypatch, [verification], apply)
+    applied = _calls(monkeypatch, verification, core)
     report = check_theorem(name, b)
     assert report.ok and report.instances == len(fillings) * (b.m - 1)
-    assert len(built) == len(applied) == len(fillings)
-    assert set(map(key, built)) == set(map(key, applied)) == fillings
+    assert built == wrapped == []
+    geo = (lambda g: g) if apply == "res" else (lambda shape: shape.geometry)
+    assert [key(geo(at), flat) for at, flat, *_ in applied] == fillings
 
 
 def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
@@ -262,22 +292,29 @@ def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
 def test_stembridge_svt_builds_no_image(monkeypatch):
     """Each operator image is looked up among the enumerated fillings of its
     shape: no operator wrapper (``svt_step`` and the others build through
-    ``svt_crystal._built``) and no ``from_flat`` in the check, and, once the
-    Schur characters are known, one construction per enumerated filling."""
-    from heckecrystals import svt_crystal, verification
+    ``svt_crystal._built``), ``from_flat`` in the check only on the enumerated
+    flat cells, and, once the Schur characters are known, one construction per
+    enumerated filling.  Each node's flat cells are read twice: once by the
+    constructor's validation and once by the step, for all colours."""
+    from heckecrystals import svt_crystal, tableaux, verification
     from heckecrystals.tableaux import SkewSetValuedTableau
     from heckecrystals.verification import skew_shapes, svt_fillings
 
     b = SMALL["stembridge-svt"]
     fillings = [t for shape in skew_shapes(b) for t in svt_fillings(shape, b.m)]
+    flats = [(t.shape, t.flat()) for t in fillings]
     assert check_theorem("stembridge-svt", b).ok     # fills the Schur memo
     wrapped = _counting(monkeypatch, [svt_crystal], "_built")
-    rebuilt = _counting(monkeypatch, [verification], "from_flat")
+    rebuilt = _calls(monkeypatch, verification, "from_flat")
     built = _counting(monkeypatch, [SkewSetValuedTableau], "__post_init__")
+    read = _counting(monkeypatch, [tableaux._Filling], "flat")
     report = check_theorem("stembridge-svt", b)
     assert report.ok and report.instances == len(fillings) == 4_341
-    assert wrapped == rebuilt == []
+    assert wrapped == []
+    assert rebuilt == flats
     assert len(built) == len(fillings)
+    assert sorted(Counter(map(id, read)).values()) == [2] * len(fillings)
+    assert set(map(id, read)) == set(map(id, built))
 
 
 @pytest.mark.parametrize("name", ["residue-intertwining", "stembridge-svt",
@@ -298,8 +335,8 @@ def test_an_image_outside_the_enumerated_fillings_is_a_witness(monkeypatch):
     check ends with one exception witness that names it."""
     from heckecrystals import verification
 
-    real = verification.svt_fillings
-    monkeypatch.setattr(verification, "svt_fillings",
+    real = verification._svt_flats
+    monkeypatch.setattr(verification, "_svt_flats",
                         lambda shape, m, max_excess=None: list(real(shape, m, max_excess))[1:])
     report = check_theorem("residue-intertwining", SMALL["residue-intertwining"])
     assert len(report.failures) == 1
