@@ -70,16 +70,15 @@ def svt_moves(geo: Geometry, flat: tuple, i: int, sides: tuple = (+1, -1)) -> tu
     cells ``flat`` on a shape of geometry ``geo``, one per entry of ``sides`` and None where
     undefined, from one signature.  Nothing is validated: the wrappers build their images."""
     minus, plus = _bracket(geo.columns, flat, i)
-    return tuple([_move(geo, flat, i, side, minus, plus) for side in sides])
+    ends = {+1: minus[-1:], -1: plus[:1]}      # the column each side moves in, if any
+    return tuple([_move(geo, flat, i, s, ends[s][0]) if ends[s] else None for s in sides])
 
 
-def _move(geo: Geometry, flat: tuple, i: int, side: int, minus: list[int], plus: list[int]
-          ) -> tuple | None:
-    """``flat`` with ``i`` turned into ``i + 1`` in the last unpaired minus column (``side``
-    +1) or back in the first plus column (-1); a neighbour on ``side`` with both donates."""
-    if not (minus if side > 0 else plus):
-        return None
-    column, old, new = (minus[-1], i, i + 1) if side > 0 else (plus[0], i + 1, i)
+def _move(geo: Geometry, flat: tuple, i: int, side: int, column: int) -> tuple:
+    """``flat`` with ``i`` turned into ``i + 1`` (``side`` +1, in the last unpaired minus
+    ``column``) or back (-1, the first unpaired plus one), in the column's lowest cell
+    holding the old letter; a neighbour on ``side`` holding both letters donates."""
+    old, new = (i, i + 1) if side > 0 else (i + 1, i)
     k = next(k for k in geo.columns[column - 1] if old in flat[k])
     r, c = geo.cells[k]
     n = geo.index.get((r, c + side))
