@@ -75,9 +75,9 @@ def svt_moves(geo: Geometry, flat: tuple, i: int, sides: tuple = (+1, -1)) -> tu
 
 
 def _move(geo: Geometry, flat: tuple, i: int, side: int, column: int) -> tuple:
-    """``flat`` with ``i`` turned into ``i + 1`` (``side`` +1, in the last unpaired minus
-    ``column``) or back (-1, the first unpaired plus one), in the column's lowest cell
-    holding the old letter; a neighbour on ``side`` holding both letters donates."""
+    """``flat`` with ``i`` turned into ``i + 1`` (``side`` +1, ``column`` the last unpaired
+    minus) or ``i + 1`` into ``i`` (-1, the first unpaired plus) in the lowest cell of
+    ``column`` holding it; a neighbour on ``side`` holding both letters donates instead."""
     old, new = (i, i + 1) if side > 0 else (i + 1, i)
     k = next(k for k in geo.columns[column - 1] if old in flat[k])
     r, c = geo.cells[k]

@@ -79,7 +79,7 @@ def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncrea
 
 def _uncrowded(shape: SkewShape, flat: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
     """The row core of :func:`uncrowd` on the cells ``flat`` of ``shape``, building nothing:
-    P's outer shape, P's flat cells as singletons, Q's cells ``((i, j), label)`` in order."""
+    P's outer shape, P's flat cells as singletons, Q's ``((i, j), label)`` in flat order."""
     cells = iter(flat)
     rows = [[list(next(cells)) for _ in row] for row in shape.geometry.rows]
     outer, recording = list(shape.outer), []
