@@ -241,9 +241,9 @@ def _unbump(rows: list[list[int]], r: int) -> int:
         r -= 1
         row = rows[r]
         if y in row:
-            c = row.index(y)
-            end = c
-            while end + 1 < len(row) and row[end + 1] == row[end] + 1:
+            end = row.index(y)
+            while (end + 1 < len(row) and row[end + 1] == row[end] + 1
+                   and not mutations.enabled(mutations.UNBUMP_RUN_CASE_OFF)):
                 end += 1
             y = row[end]
         else:

@@ -15,6 +15,7 @@ FSTAR_NEIGHBOR_CASE_OFF = "fstar_neighbor_case_off"
 FSVT_EXCEPTION_OFF = "fsvt_exception_off"
 STAR_INSERT_RUN_CASE_OFF = "star_insert_run_case_off"
 SVT_BRACKET_OFF = "svt_bracket_off"
+UNBUMP_RUN_CASE_OFF = "unbump_run_case_off"
 UNCROWD_BUMP_ROW_OFF = "uncrowd_bump_row_off"
 
 _active: set[str] = set()
