@@ -56,11 +56,8 @@ class DecreasingFactorization:
             raise ValidationError(f"factor index {i} outside [1, {self.m}]")
         return self.factors[self.m - i]
 
-    def flatten(self) -> HeckeWord:
-        return HeckeWord(tuple(a for f in self.factors for a in f), self.n)
-
     def eval(self) -> HeckeElement:
-        return eval_word(self.flatten())
+        return eval_word(HeckeWord(tuple(a for f in self.factors for a in f), self.n))
 
     @property
     def fully_commutative(self) -> bool:
@@ -178,6 +175,7 @@ def enumerate_factorizations(
     target_len = w.length()
     budget = target_len + max_excess
     position = {v: k for k, v in enumerate(w.perm)}
+    fc = is_fully_commutative(w)
     table: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {}
 
     def moves(perm: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -214,4 +212,6 @@ def enumerate_factorizations(
         if len(stack) < m:
             stack.append((iter(moves(perm)), length + moved, used + len(blk)))
         elif perm == w.perm:
-            yield DecreasingFactorization(tuple(chosen), n)
+            f = DecreasingFactorization(tuple(chosen), n)
+            object.__setattr__(f, "_fully_commutative", fc)    # every f evaluates to w
+            yield f

@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DomainError, ValidationError
-from .factorization import enumerate_factorizations, excess, weight
+from .factorization import enumerate_factorizations, weight
 from .hecke import HeckeElement, is_fully_commutative
-from .star_crystal import f_star
+from .star_crystal import phi
 from .tableaux import SkewShape, svt_fillings, weight_of
 
 __all__ = [
@@ -77,7 +77,7 @@ def grothendieck_poly(w: HeckeElement, m: int, max_beta: int) -> GradedPoly:
         raise ValidationError("max_beta must be >= 0")
     out: GradedPoly = {d: {} for d in range(max_beta + 1)}
     for f in enumerate_factorizations(w, m, max_beta):
-        d = excess(f)
+        d = f.num_letters() - w.length()      # each f evaluates to w
         x = weight(f)
         out[d][x] = out[d].get(x, 0) + 1
     return out
@@ -127,13 +127,13 @@ def schur_coeffs_via_crystal(w: HeckeElement, m: int, max_beta: int) -> BetaSchu
         raise DomainError(f"element {w} is not fully commutative")
     coeffs: dict[tuple[int, tuple[int, ...]], int] = {}
     for f in enumerate_factorizations(w, m, max_beta):
-        if any(f_star(f, i) is not None for i in range(1, m)):
+        if any(phi(f, i) for i in range(1, m)):
             continue
         mu = tuple(reversed(weight(f)))
         mu = tuple(v for v in mu if v)
         if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
             raise ValidationError(f"sink weight {weight(f)} is not sorted")
-        key = (excess(f), mu)
+        key = (f.num_letters() - w.length(), mu)
         coeffs[key] = coeffs.get(key, 0) + 1
     return BetaSchurSeries(coeffs, m, max_beta)
 

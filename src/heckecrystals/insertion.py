@@ -8,9 +8,9 @@ semistandard; its distinguishing rule fires when the inserted letter is
 already present in a row, in which case the left endpoint of the maximal
 consecutive run ending at that letter is bumped instead.
 
-Both run on plain lists of rows (the padded insertion of :mod:`uncrowding`
-shares ``_star_insert_rows``) and build only the tableaux they return, each
-validated; a shape is checked once per distinct ``(outer, inner)``.
+Both run on plain lists of rows and build only the tableaux they return, each
+validated; the star insertion's row cores, ``star_insert_rows`` (shared with
+:mod:`uncrowding`) and the inverse's ``star_peel``, are public and validate nothing.
 
 Micro-moves are the local rewrites (Knuth, weak Knuth and one idempotent
 move) under which the star insertion tableau is invariant; words here
@@ -21,6 +21,7 @@ word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import mutations
 from .errors import DomainError, ReconstructionError, ValidationError
@@ -42,8 +43,10 @@ __all__ = [
     "star_insert",
     "star_insert_word",
     "star_insert_one",
+    "star_insert_rows",
     "reverse_bump",
     "star_inverse",
+    "star_peel",
     "micro_moves",
     "micro_class",
     "micro_equivalent",
@@ -168,7 +171,7 @@ def _star_insert_cells(rows: list[list[int]], x: int) -> Path:
     return tuple(path)
 
 
-def _star_insert_rows(letters, labels) -> tuple[list[list[int]], list[list[int]], list[Path]]:
+def star_insert_rows(letters, labels) -> tuple[list[list[int]], list[list[int]], list[Path]]:
     """Star-insert ``letters`` left to right into empty rows, recording
     ``labels``: the rows of P, the rows of Q and the insertion paths."""
     rows: list[list[int]] = []
@@ -196,7 +199,7 @@ def star_insert_word(letters) -> InsertionResult:
     recording the i-th insertion with label i."""
     letters = tuple(letters)
     _check_fc_word(letters)
-    rows, qrows, _ = _star_insert_rows(letters, range(1, len(letters) + 1))
+    rows, qrows, _ = star_insert_rows(letters, range(1, len(letters) + 1))
     return InsertionResult(_as_tableau(rows, RowIncreasingTableau),
                            _as_tableau(qrows, SemistandardTableau))
 
@@ -205,7 +208,7 @@ def star_insert(b: HeckeBiword, trace: bool = False) -> InsertionResult:
     """Star insertion of a fully-commutative decreasing Hecke biword."""
     if b.bottom and not is_fully_commutative(b.eval()):
         raise DomainError(f"biword {b} is not fully commutative")
-    rows, qrows, paths = _star_insert_rows(reversed(b.bottom), reversed(b.top))
+    rows, qrows, paths = star_insert_rows(reversed(b.bottom), reversed(b.top))
     return InsertionResult(_as_tableau(rows, RowIncreasingTableau),
                            _as_tableau(qrows, SemistandardTableau),
                            tuple(paths) if trace else None)
@@ -268,23 +271,24 @@ def reverse_bump(p: RowIncreasingTableau, corner: tuple[int, int]
 
 
 def star_inverse(p: RowIncreasingTableau, q: SemistandardTableau) -> HeckeBiword:
-    """Invert star insertion by peeling the letters of ``q`` from the
-    largest down, each as a horizontal strip processed right to left.
-
-    The letters are peeled off one list of rows; only the inputs and the
-    returned biword are validated."""
+    """Invert star insertion: :func:`star_peel` on a copy of the rows of ``p``,
+    with only the inputs and the returned biword validated."""
     if p.shape != q.shape:
         raise ValidationError("tableaux must share a shape")
     p_word = row_word(p)
     if p_word.letters and not is_fully_commutative(eval_word(p_word)):
         raise ReconstructionError("row word of the insertion tableau has a braid")
-    rows = [list(r) for r in p.rows]
-    m = q.max_entry()
+    top, bottom = star_peel([list(r) for r in p.rows], q)
+    return HeckeBiword(top, bottom, max(bottom, default=0) + 1, q.max_entry())
+
+
+def star_peel(rows: list[list[int]], q: SemistandardTableau) -> tuple[tuple, tuple]:
+    """Peel the labels of ``q`` from the largest down off ``rows`` (P's rows, emptied in place),
+    each a horizontal strip taken right to left: the biword's two rows, unvalidated."""
     top: list[int] = []
     bottom: list[int] = []
-    for k in range(m, 0, -1):
-        strip = sorted(((i, j) for i, j, v in q.cells() if v == k),
-                       key=lambda cell: -cell[1])
+    for k, cells in groupby(sorted(q.cells(), key=lambda c: (-c[2], -c[1])), lambda c: c[2]):
+        strip = [(i, j) for i, j, _ in cells]
         cols = [j for _, j in strip]
         if len(set(cols)) != len(cols):
             raise ReconstructionError(f"label {k} does not form a horizontal strip")
@@ -300,8 +304,7 @@ def star_inverse(p: RowIncreasingTableau, q: SemistandardTableau) -> HeckeBiword
         bottom.extend(block)
     if rows:
         raise ReconstructionError("letters remain after peeling the recording tableau")
-    n = max(bottom, default=0) + 1
-    return HeckeBiword(tuple(top), tuple(bottom), max(n, 1), m)
+    return tuple(top), tuple(bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,6 @@ def epsilon(f: DecreasingFactorization, i: int) -> int:
 
 def crystal_graph(seed: DecreasingFactorization) -> ColoredDigraph:
     """Connected crystal component of ``seed`` (closure under both
-    operators, every color)."""
-    if not seed.fully_commutative:
-        raise DomainError(f"factorization {seed} is not fully commutative")
+    operators, every color).  A seed outside the domain raises from the
+    first step's domain check, as a single block is always fully commutative."""
     return build_component([seed], tuple(range(1, seed.m)), star_step, weight)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from . import mutations
 from .errors import ValidationError
 from .factorization import DecreasingFactorization, to_biword
-from .insertion import InsertionResult, _check_fc_word, _star_insert_rows, star_insert
+from .insertion import InsertionResult, _check_fc_word, star_insert_rows, star_insert
 from .residue import res_inv
 from .tableaux import (FlaggedIncreasingTableau, SemistandardTableau, SkewSetValuedTableau,
                        SkewShape, Tableau, from_cells, from_flat)
@@ -128,7 +128,7 @@ def _star_tilde(f: DecreasingFactorization, canonical: SkewSetValuedTableau) -> 
     b = to_biword(f)
     word = tuple(letters) + tuple(reversed(b.bottom))
     _check_fc_word(word)
-    rows, qrows, _ = _star_insert_rows(word, labels + [k + lm for k in reversed(b.top)])
+    rows, qrows, _ = star_insert_rows(word, labels + [k + lm for k in reversed(b.top)])
     skew = SkewShape(tuple(map(len, rows)), mu)   # raises unless P contains mu
     for i, (row, a) in enumerate(zip(qrows, mu), start=1):
         if row[:a] != [i] * a:

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, repeat
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Iterator
 
 from .errors import ValidationError
 from .factorization import (DecreasingFactorization, enumerate_factorizations, to_biword,
@@ -27,13 +27,14 @@ from .grothendieck import (grassmannian_element, grothendieck_poly, schur_coeffs
                            schur_dict, series_via_expansion)
 from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elements,
                     is_fully_commutative)
-from .insertion import micro_class, star_insert, star_insert_word, star_inverse, hecke_insert
+from .insertion import (_as_tableau, hecke_insert, micro_class, star_insert, star_insert_rows,
+                        star_inverse, star_peel)
 from .local3 import all_factorizations3, e3, f3, step3
 from .residue import _res_flat, res, res_inv, res_inv_shaped
-from .star_crystal import _check_domain, f_star, pairing, star_moves, star_step
-from .svt_crystal import f_classical, svt_moves
-from .tableaux import (SemistandardTableau, SkewShape, _svt_flats, excess_of, from_flat,
-                       row_word, svt_fillings, weight_of)
+from .star_crystal import _check_domain, pairing, phi, star_moves, star_step
+from .svt_crystal import svt_moves
+from .tableaux import (RowIncreasingTableau, SemistandardTableau, SkewShape, _svt_flats,
+                       excess_of, from_flat, row_word, svt_fillings, weight_of)
 from .uncrowding import _p_tableau, _q_tableau, _star_tilde, _uncrowded, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
@@ -125,13 +126,13 @@ def skew_shapes(b: Bounds) -> Iterator[SkewShape]:
                 yield SkewShape(outer, inner)
 
 
-def _fc_classes(b: Bounds) -> Iterator[Iterator[DecreasingFactorization]]:
-    """Per fully-commutative element of S_n, its factorizations into m
+def _fc_classes(b: Bounds) -> Iterator[list[DecreasingFactorization]]:
+    """Per fully-commutative element of S_n, the list of its factorizations into m
     blocks using at most ``max_letters`` letters."""
     for w in fully_commutative_elements(b.n):
         slack = b.max_letters - w.length()
         if slack >= 0:
-            yield enumerate_factorizations(w, b.m, slack)
+            yield list(enumerate_factorizations(w, b.m, slack))
 
 
 def fc_factorizations(b: Bounds) -> Iterator[DecreasingFactorization]:
@@ -291,14 +292,6 @@ def _check(name: str, bounds: Bounds, deep: Bounds | None = None):
     return register
 
 
-def _once(table: dict, fn: Callable, x: Hashable, *args):
-    """``fn(x, *args)``, computed once per ``x`` of ``table``."""
-    out = table.get(x)
-    if out is None:
-        out = table[x] = fn(x, *args)
-    return out
-
-
 def _outside(shape: SkewShape, flat: tuple):
     """Raise for the image ``flat`` outside the enumerated fillings of ``shape``, once
     built: an invalid image raises as the constructor does."""
@@ -346,25 +339,26 @@ def _check_hecke_recording(b: Bounds) -> Witnesses:
 @_check("star-bijection", Bounds(n=4, m=4, max_letters=6),
         deep=Bounds(n=5, m=4, max_letters=7))
 def _check_star_bijection(b: Bounds) -> Witnesses:
-    """Star insertion round-trips against its inverse."""
-    for f in fc_factorizations(b):
-        yield None
-        biword = to_biword(f)
-        result = star_insert(biword)
-        word = f.flatten()
-        insertion_order = tuple(reversed(word.letters))
-        if word.letters and eval_word(row_word(result.p, f.n)) != eval_word(
-                HeckeWord(insertion_order, f.n)):
-            yield f"row word of P not equivalent for {f}"
-            continue
-        back = star_inverse(result.p, result.q)
-        if (back.top, back.bottom) != (biword.top, biword.bottom):
-            yield f"round trip failed for {f}: got {back}"
+    """Star insertion round-trips against its inverse, on rows; P and Q are built."""
+    for fs in _fc_classes(b):
+        target = None
+        for f in fs:
+            yield None
+            biword = to_biword(f)
+            rows, qrows, _ = star_insert_rows(reversed(biword.bottom), reversed(biword.top))
+            p, q = _as_tableau(rows, RowIncreasingTableau), _as_tableau(qrows, SemistandardTableau)
+            if biword.bottom:       # the reversed words of a class share their element
+                target = target or eval_word(HeckeWord(biword.bottom[::-1], f.n))
+                if eval_word(row_word(p, f.n)) != target:
+                    yield f"row word of P not equivalent for {f}"
+                    continue
+            if star_peel(rows, q) != (biword.top, biword.bottom):
+                yield f"round trip failed for {f}: got {star_inverse(p, q)}"
 
 
 @_check("insertion-invariance", Bounds(n=4, max_letters=6))
 def _check_insertion_invariance(b: Bounds) -> Witnesses:
-    """Micro-equivalent insertion sequences share the insertion tableau."""
+    """Micro-equivalent insertion sequences share the insertion tableau, built once."""
     seen: set[tuple[int, ...]] = set()
     for word in fc_words(b):
         if word in seen:
@@ -372,7 +366,8 @@ def _check_insertion_invariance(b: Bounds) -> Witnesses:
         cls = micro_class(word)
         seen.update(cls)
         yield None
-        tableaux = {star_insert_word(u).p for u in cls}
+        rows = dict.fromkeys(tuple(map(tuple, star_insert_rows(u, repeat(0))[0])) for u in cls)
+        tableaux = {_as_tableau(p, RowIncreasingTableau) for p in rows}
         if len(tableaux) != 1:
             yield f"class of {word} has {len(tableaux)} distinct tableaux"
 
@@ -381,10 +376,11 @@ def _check_insertion_invariance(b: Bounds) -> Witnesses:
 def _check_operator_rewrites(b: Bounds) -> Witnesses:
     """Crystal moves rewrite the reversed word by micro-moves.  A micro class keeps the
     element, so it is closed once per element and found through any of its words."""
+    reading = lambda f: tuple(a for bl in reversed(f.factors) for a in reversed(bl))  # noqa: E731
     for fs in _fc_classes(b):
         classes: dict[tuple[int, ...], frozenset] = {}
         for f in fs:
-            rev = tuple(reversed(f.flatten().letters))
+            rev = reading(f)
             for i in range(1, f.m):
                 for g, op in zip(star_step(f, i), ("f_star", "e_star")):
                     if g is None:
@@ -394,29 +390,30 @@ def _check_operator_rewrites(b: Bounds) -> Witnesses:
                     if cls is None:
                         cls = micro_class(rev)
                         classes.update(dict.fromkeys(cls, cls))
-                    if tuple(reversed(g.flatten().letters)) not in cls:
+                    if reading(g) not in cls:
                         yield f"{op} {i} of {f} leaves the rewrite class"
 
 
 @_check("recording-intertwining", Bounds(n=4, m=4, max_letters=6))
 def _check_recording_intertwining(b: Bounds) -> Witnesses:
-    """Q of the star insertion carries the classical crystal action.
-
-    ``f_star`` keeps the element, so each recording tableau is computed
-    once per element, in a memo dropped with that element."""
-    recording = lambda f: star_insert(to_biword(f)).q  # noqa: E731
-    for cls in _fc_classes(b):
-        memo: dict[DecreasingFactorization, SemistandardTableau] = {}
-        for f in cls:
-            q = _once(memo, recording, f)
+    """Q of the star insertion carries the classical crystal action.  ``f_star`` keeps the
+    element, so an image's Q is looked up by its blocks among the element's, each inserted
+    on rows and built once (a miss goes through ``star_insert``); both sides lower on cells."""
+    recording = lambda q: (q.shape, tuple(zip(q.flat())))  # noqa: E731
+    q_rows = lambda bw: star_insert_rows(reversed(bw.bottom), reversed(bw.top))[1]  # noqa: E731
+    for fs in _fc_classes(b):
+        qs = [recording(_as_tableau(q_rows(to_biword(f)), SemistandardTableau)) for f in fs]
+        step = _table_step(dict(zip((f.factors for f in fs), qs)),
+                           lambda u, i: star_moves(u, i)[:1], lambda u: recording(
+                               star_insert(to_biword(DecreasingFactorization(u, b.n))).q))
+        for f, (shape, flat) in zip(fs, qs):
             for i in range(1, f.m):
                 yield None
-                g = f_star(f, i)
-                q2 = f_classical(q, i)
-                if (g is None) != (q2 is None):
+                image, = step(f.factors, i)
+                q2, = svt_moves(shape.geometry, flat, i, (+1,))
+                if (image is None) != (q2 is None):
                     yield f"definedness differs for {f} color {i}"
-                    continue
-                if g is not None and _once(memo, recording, g) != q2:
+                elif image is not None and image != (shape, q2):
                     yield f"recording tableaux differ for {f} color {i}"
 
 
@@ -459,7 +456,8 @@ def _check_uncrowding_intertwining(b: Bounds) -> Witnesses:
         for flat in ids:
             outer, p_flat, recording = _uncrowded(shape, flat)
             uncrowded.append((_p_tableau(shape, outer, p_flat).shape, p_flat, recording))
-            _once(qs, _q_tableau, recording, shape, outer)
+            if recording not in qs:
+                qs[recording] = _q_tableau(recording, shape, outer)
         for flat, (p_shape, p_flat, q) in zip(ids, uncrowded):
             for i in range(1, b.m):
                 yield None
@@ -478,7 +476,7 @@ def _check_sink_rows(b: Bounds) -> Witnesses:
     """At a sink, row i of the insertion tableau is block m+1-i, and the
     shape is the sorted weight."""
     for f in fc_factorizations(b):
-        if any(f_star(f, i) is not None for i in range(1, f.m)):
+        if any(phi(f, i) for i in range(1, f.m)):
             continue
         yield None
         p = star_insert(to_biword(f)).p

@@ -193,6 +193,27 @@ def test_enumeration_order_matches_brute_force_filter(n, m):
             assert got == expected
 
 
+def test_enumeration_decides_full_commutativity_once_per_element(monkeypatch):
+    """Every factorization of one call carries the fully-commutative flag of ``w``,
+    decided by one test per call, so reading it evaluates nothing."""
+    from heckecrystals import factorization
+    from heckecrystals.hecke import is_fully_commutative
+
+    calls = []
+    monkeypatch.setattr(factorization, "is_fully_commutative",
+                        lambda e: calls.append(e) or is_fully_commutative(e))
+    seen = 0
+    for w in all_elements(4):
+        found = list(enumerate_factorizations(w, 3, 1))
+        assert calls == [w]
+        calls.clear()
+        for f in found:
+            assert "_fully_commutative" in vars(f)
+            assert f.fully_commutative == is_fully_commutative(f.eval())
+        seen += len(found)
+    assert calls == [] and seen > 0
+
+
 def _inversions(e):
     """The value pairs ``(y, x)``, ``y > x``, with ``y`` before ``x`` in ``e``."""
     p = e.perm

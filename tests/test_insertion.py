@@ -159,6 +159,59 @@ def test_star_inverse_outside_image():
         star_inverse(p, q)
 
 
+@pytest.mark.parametrize("shape, p_rows, q_rows, q_cls, message", [
+    # a braided row word cannot come from the insertion
+    (((2, 1), ()), ((1, 2), (2,)), ((1, 1), (2,)), "SemistandardTableau",
+     "row word of the insertion tableau has a braid"),
+    # a semistandard Q always gives horizontal strips; a plain tableau need not
+    (((2, 1), ()), ((1, 2), (1,)), ((1, 1), (1,)), "Tableau",
+     "label 1 does not form a horizontal strip"),
+    (((2, 1), ()), ((1, 2), (1,)), ((2, 1), (1,)), "Tableau",
+     "label 2 cell (1,1) is not removable"),
+    # the rows of P are peeled as a straight shape, so a skew cell never comes off
+    (((2,), (1,)), ((1,),), ((1,),), "SemistandardTableau",
+     "label 1 cell (1,2) is not removable"),
+], ids=["braid", "strip", "corner", "skew"])
+def test_star_inverse_reconstruction_errors(shape, p_rows, q_rows, q_cls, message):
+    """Each way in which ``star_inverse`` finds no preimage, by its message."""
+    from heckecrystals import tableaux
+
+    shape = SkewShape(*shape)
+    p = RowIncreasingTableau(shape, p_rows)
+    with pytest.raises(ReconstructionError) as err:
+        star_inverse(p, getattr(tableaux, q_cls)(shape, q_rows))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, q_shape, q_rows, message", [
+    # star_inverse rejects this braided P first; the row core peels it
+    ([[1, 2], [1, 2]], ((2, 2), ()), ((1, 1), (2, 2)),
+     "label 2 block is not strictly decreasing"),
+    ([[1, 2]], ((2,), (1,)), ((1,),), "letters remain after peeling the recording tableau"),
+], ids=["block", "remain"])
+def test_star_peel_reconstruction_errors(rows, q_shape, q_rows, message):
+    """Two peel errors of the row core: a braided P, which ``star_inverse`` rejects
+    before peeling, and rows with a cell that Q does not record."""
+    from heckecrystals.insertion import star_peel
+    from heckecrystals.tableaux import SemistandardTableau
+
+    with pytest.raises(ReconstructionError) as err:
+        star_peel(rows, SemistandardTableau(SkewShape(*q_shape), q_rows))
+    assert str(err.value) == message
+
+
+def test_star_peel_is_the_core_of_star_inverse():
+    """On the worked example the row core returns the biword's two rows and
+    empties the rows it is given."""
+    from heckecrystals.insertion import star_peel
+
+    b = parse_biword("4 4 2 2 1 1 / 4 2 4 2 3 1")
+    result = star_insert(b)
+    rows = [list(r) for r in result.p.rows]
+    assert star_peel(rows, result.q) == (b.top, b.bottom)
+    assert rows == []
+
+
 def test_micro_class_of_13242():
     cls = micro_class((1, 3, 2, 4, 2))
     for other in [(3, 1, 2, 4, 2), (1, 3, 4, 2, 2), (1, 3, 2, 2, 4), (3, 1, 2, 2, 4)]:

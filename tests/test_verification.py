@@ -240,11 +240,11 @@ def test_local3_graph_pairs_each_node_once_per_color(monkeypatch):
 
 
 def test_operator_rewrites_pairs_once_per_letter(monkeypatch):
-    from heckecrystals import star_crystal
+    from heckecrystals import star_crystal, verification
     from heckecrystals.verification import fc_factorizations
 
     b = SMALL["operator-rewrites"]
-    calls = _counting(monkeypatch, [star_crystal], "pairing")
+    calls = _counting(monkeypatch, [star_crystal, verification], "pairing")
     assert check_theorem("operator-rewrites", b).ok
     assert len(calls) == len(list(fc_factorizations(b))) * (b.m - 1)
 
@@ -287,6 +287,23 @@ def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
     report = check_theorem("stembridge-star", b)
     assert report.ok and report.instances == nodes == 180
     assert len(built) == nodes
+
+
+def test_recording_intertwining_constructs_only_the_enumerated_factorizations(monkeypatch):
+    """Each lowered image is looked up by its blocks among the element's enumerated
+    factorizations, so the check constructs no factorization beyond those, and
+    inserts each on rows without ``star_insert``."""
+    from heckecrystals import verification
+    from heckecrystals.factorization import DecreasingFactorization
+    from heckecrystals.verification import fc_factorizations
+
+    b = SMALL["recording-intertwining"]
+    enumerated = [f.factors for f in fc_factorizations(b)]
+    built = _counting(monkeypatch, [DecreasingFactorization], "__post_init__")
+    inserted = _counting(monkeypatch, [verification], "star_insert")
+    assert check_theorem("recording-intertwining", b).ok
+    assert [f.factors for f in built] == enumerated
+    assert inserted == []
 
 
 def test_stembridge_svt_builds_no_image(monkeypatch):
