@@ -62,11 +62,9 @@ class DecreasingFactorization:
     @property
     def fully_commutative(self) -> bool:
         """Whether the element avoids 321, kept from first use (outputs are new objects)."""
-        try:
-            return self._fully_commutative
-        except AttributeError:
+        if not hasattr(self, "_fully_commutative"):
             object.__setattr__(self, "_fully_commutative", is_fully_commutative(self.eval()))
-            return self._fully_commutative
+        return self._fully_commutative
 
     def num_letters(self) -> int:
         return sum(len(f) for f in self.factors)
@@ -133,13 +131,18 @@ def excess(f: DecreasingFactorization) -> int:
     return f.num_letters() - f.eval().length()
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields``, valid by construction, built without ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():     # as __init__ does: no per-instance dict
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def to_biword(f: DecreasingFactorization) -> HeckeBiword:
-    top: list[int] = []
-    bottom: list[int] = []
-    for pos, block in enumerate(f.factors):
-        top.extend([f.m - pos] * len(block))
-        bottom.extend(block)
-    return HeckeBiword(tuple(top), tuple(bottom), f.n, f.m)
+    top = tuple(k for k, block in zip(range(f.m, 0, -1), f.factors) for _ in block)
+    bottom = tuple(a for block in f.factors for a in block)
+    return _trusted(HeckeBiword, top=top, bottom=bottom, n=f.n, m=f.m)   # valid as f is
 
 
 def from_biword(b: HeckeBiword, m: int | None = None) -> DecreasingFactorization:
@@ -211,7 +214,5 @@ def enumerate_factorizations(
         chosen.append(blk)
         if len(stack) < m:
             stack.append((iter(moves(perm)), length + moved, used + len(blk)))
-        elif perm == w.perm:
-            f = DecreasingFactorization(tuple(chosen), n)
-            object.__setattr__(f, "_fully_commutative", fc)    # every f evaluates to w
-            yield f
+        elif perm == w.perm:     # blocks strictly decrease in [1, n-1]; each f evaluates to w
+            yield _trusted(DecreasingFactorization, factors=tuple(chosen), n=n, _fully_commutative=fc)

@@ -25,13 +25,13 @@ from .factorization import (DecreasingFactorization, enumerate_factorizations, t
 from .graphs import ColoredDigraph, build_component
 from .grothendieck import (grassmannian_element, grothendieck_poly, schur_coeffs_via_crystal,
                            schur_dict, series_via_expansion)
-from .hecke import (HeckeElement, HeckeWord, eval_word, fully_commutative_elements,
-                    is_fully_commutative)
+from .hecke import (HeckeElement, HeckeWord, demazure_apply, eval_word,
+                    fully_commutative_elements, identity, is_fully_commutative)
 from .insertion import (_as_tableau, hecke_insert, micro_class, star_insert, star_insert_rows,
                         star_inverse, star_peel)
 from .local3 import all_factorizations3, e3, f3, step3
 from .residue import _res_flat, res, res_inv, res_inv_shaped
-from .star_crystal import _check_domain, pairing, phi, star_moves, star_step
+from .star_crystal import _check_domain, pairing, phi, star_moves
 from .svt_crystal import svt_moves
 from .tableaux import (RowIncreasingTableau, SemistandardTableau, SkewShape, _svt_flats,
                        excess_of, from_flat, row_word, svt_fillings, weight_of)
@@ -142,17 +142,16 @@ def fc_factorizations(b: Bounds) -> Iterator[DecreasingFactorization]:
 
 
 def fc_words(b: Bounds) -> Iterator[tuple[int, ...]]:
-    def rec(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if word and not is_fully_commutative(eval_word(HeckeWord(word, b.n))):
-            return
-        yield word
+    """Nonempty fully-commutative words of at most ``max_letters`` letters, depth first."""
+    def rec(word: tuple[int, ...], e: HeckeElement) -> Iterator[tuple[int, ...]]:  # e of word
         if len(word) < b.max_letters:
             for a in range(1, b.n):
-                yield from rec(word + (a,))
+                e2 = demazure_apply(e, a)
+                if e2 is e or is_fully_commutative(e2):
+                    yield word + (a,)
+                    yield from rec(word + (a,), e2)
 
-    for w in rec(()):
-        if w:
-            yield w
+    return rec((), identity(b.n))
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +373,15 @@ def _check_insertion_invariance(b: Bounds) -> Witnesses:
 
 @_check("operator-rewrites", Bounds(n=4, m=4, max_letters=6))
 def _check_operator_rewrites(b: Bounds) -> Witnesses:
-    """Crystal moves rewrite the reversed word by micro-moves.  A micro class keeps the
-    element, so it is closed once per element and found through any of its words."""
-    reading = lambda f: tuple(a for bl in reversed(f.factors) for a in reversed(bl))  # noqa: E731
+    """Crystal moves rewrite the reversed word, read off each image's blocks, by micro-moves.
+    A micro class keeps the element, so it is closed once per element, found by any word."""
+    reading = lambda u: tuple(a for bl in reversed(u) for a in reversed(bl))  # noqa: E731
     for fs in _fc_classes(b):
         classes: dict[tuple[int, ...], frozenset] = {}
         for f in fs:
-            rev = reading(f)
+            rev = reading(f.factors)
             for i in range(1, f.m):
-                for g, op in zip(star_step(f, i), ("f_star", "e_star")):
+                for g, op in zip(star_moves(f.factors, i, pairing(f, i)), ("f_star", "e_star")):
                     if g is None:
                         continue
                     yield None

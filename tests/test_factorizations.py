@@ -214,6 +214,28 @@ def test_enumeration_decides_full_commutativity_once_per_element(monkeypatch):
     assert calls == [] and seen > 0
 
 
+@pytest.mark.parametrize("elements", [
+    pytest.param(lambda: all_elements(5), id="S5"),
+    pytest.param(lambda: [identity(1), identity(2), identity(5)], id="identity"),
+])
+def test_enumerated_factorizations_and_their_biwords_are_valid(elements):
+    """The enumerator and ``to_biword`` build without validating; each object equals
+    its rebuild through the validating constructor, and the kept flag is the element's."""
+    from heckecrystals.hecke import is_fully_commutative
+
+    seen = 0
+    for w in elements():
+        for m in range(1, 5):
+            for max_excess in range(3):
+                for f in enumerate_factorizations(w, m, max_excess):
+                    assert f == DecreasingFactorization(f.factors, f.n)
+                    assert f.fully_commutative == is_fully_commutative(f.eval())
+                    b = to_biword(f)
+                    assert b == HeckeBiword(b.top, b.bottom, b.n, b.m)
+                    seen += 1
+    assert seen > 0
+
+
 def _inversions(e):
     """The value pairs ``(y, x)``, ``y > x``, with ``y`` before ``x`` in ``e``."""
     p = e.perm

@@ -276,8 +276,9 @@ def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply
 
 
 def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
-    """Each operator image is looked up among the enumerated factorizations, so
-    the check constructs exactly the factorizations it enumerates."""
+    """Each operator image is looked up among the enumerated factorizations, which
+    the enumerator builds valid by construction, so the check makes no validated
+    factorization construction at all."""
     from heckecrystals.factorization import DecreasingFactorization
     from heckecrystals.verification import fc_factorizations
 
@@ -286,24 +287,72 @@ def test_stembridge_star_constructs_each_factorization_once(monkeypatch):
     built = _counting(monkeypatch, [DecreasingFactorization], "__post_init__")
     report = check_theorem("stembridge-star", b)
     assert report.ok and report.instances == nodes == 180
-    assert len(built) == nodes
+    assert built == []
 
 
 def test_recording_intertwining_constructs_only_the_enumerated_factorizations(monkeypatch):
     """Each lowered image is looked up by its blocks among the element's enumerated
-    factorizations, so the check constructs no factorization beyond those, and
-    inserts each on rows without ``star_insert``."""
+    factorizations, which the enumerator builds valid by construction, so the check
+    makes no validated factorization construction, and inserts each on rows without
+    ``star_insert``."""
     from heckecrystals import verification
     from heckecrystals.factorization import DecreasingFactorization
-    from heckecrystals.verification import fc_factorizations
 
     b = SMALL["recording-intertwining"]
-    enumerated = [f.factors for f in fc_factorizations(b)]
     built = _counting(monkeypatch, [DecreasingFactorization], "__post_init__")
     inserted = _counting(monkeypatch, [verification], "star_insert")
     assert check_theorem("recording-intertwining", b).ok
-    assert [f.factors for f in built] == enumerated
+    assert built == []
     assert inserted == []
+
+
+def test_operator_rewrites_constructs_no_factorization(monkeypatch):
+    """Both star images are read off their blocks, and the enumerator builds its
+    factorizations valid by construction, so the check makes no validated
+    factorization construction and calls no operator wrapper."""
+    from heckecrystals import star_crystal
+    from heckecrystals.factorization import DecreasingFactorization
+
+    b = SMALL["operator-rewrites"]
+    built = _counting(monkeypatch, [DecreasingFactorization], "__post_init__")
+    wrapped = _counting(monkeypatch, [star_crystal], "_built")
+    report = check_theorem("operator-rewrites", b)
+    assert report.ok and report.instances == 356
+    assert built == wrapped == []
+
+
+def test_fc_words_match_a_brute_force_filter():
+    """``fc_words`` yields the fully-commutative words of every length from 1 to
+    ``max_letters``, in the order of a depth-first walk over all words, which fixes
+    the witness order of ``insertion-invariance``."""
+    from heckecrystals.hecke import HeckeWord, eval_word, is_fully_commutative
+    from heckecrystals.verification import fc_words
+
+    def brute(b):
+        def rec(word):
+            if word:
+                yield word
+            if len(word) < b.max_letters:
+                for a in range(1, b.n):
+                    yield from rec(word + (a,))
+
+        return [w for w in rec(()) if is_fully_commutative(eval_word(HeckeWord(w, b.n)))]
+
+    for b in (SMALL["insertion-invariance"], Bounds(n=5, max_letters=7)):
+        words = list(fc_words(b))
+        assert words == brute(b)
+        assert len(words) == len(set(words)) > 0
+
+
+def test_insertion_invariance_evaluates_no_word(monkeypatch):
+    """The words' elements are carried down ``fc_words``'s recursion, one Demazure
+    step per letter, so the check evaluates no word."""
+    from heckecrystals import hecke, insertion, verification
+
+    calls = _counting(monkeypatch, [hecke, insertion, verification], "eval_word")
+    report = check_theorem("insertion-invariance", SMALL["insertion-invariance"])
+    assert report.ok and report.instances == 100
+    assert calls == []
 
 
 def test_stembridge_svt_builds_no_image(monkeypatch):
