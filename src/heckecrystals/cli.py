@@ -70,8 +70,12 @@ def _cmd_insert(args) -> int:
     else:
         biword = formats.parse_biword(text)
     algo = hecke_insert if args.algo == "hecke" else star_insert
-    result = algo(biword, trace=args.trace)
-    if args.format == "text":
+    return _print_result(algo(biword, trace=args.trace), args.format)
+
+
+def _print_result(result: InsertionResult, fmt: str) -> int:
+    """P and Q of ``insert`` or ``uncrowd``, as text or JSON."""
+    if fmt == "text":
         print("P:")
         print(pretty(result.p))
         print("Q:")
@@ -97,16 +101,7 @@ def _cmd_residue(args) -> int:
 
 def _cmd_uncrowd(args) -> int:
     t = formats.filling_from_json(formats.loads(_read_payload(args)))
-    p, q = uncrowd(t)
-    payload = {"P": formats.tableau_to_json(p), "Q": formats.tableau_to_json(q)}
-    if args.format == "text":
-        print("P:")
-        print(pretty(p))
-        print("Q:")
-        print(pretty(q))
-    else:
-        print(json.dumps(payload))
-    return 0
+    return _print_result(InsertionResult(*uncrowd(t)), args.format)
 
 
 def _cmd_graph(args) -> int:

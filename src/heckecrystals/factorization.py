@@ -123,7 +123,7 @@ class HeckeBiword:
 
 def weight(f: DecreasingFactorization) -> tuple[int, ...]:
     """Block lengths, rightmost block first: ``(len h^1, ..., len h^m)``."""
-    return tuple(len(f.factor(i)) for i in range(1, f.m + 1))
+    return tuple(map(len, reversed(f.factors)))
 
 
 def excess(f: DecreasingFactorization) -> int:

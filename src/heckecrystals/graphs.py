@@ -22,11 +22,13 @@ class ColoredDigraph:
     """Nodes with weights and colored edges ``u --color--> v``, over node ids.
 
     ``node[u]`` and ``wt[u]`` are the node and weight of id ``u``, ``index``
-    maps a node to its id.  A second, different edge out of or into a node
-    is kept out of the maps and recorded in ``conflicts``."""
+    maps a node to its id, and ``name(u)`` renders node ``u`` through ``show``.
+    A second, different edge out of or into a node is kept out of the maps
+    and recorded in ``conflicts``."""
 
-    def __init__(self, colors: Sequence[int]) -> None:
+    def __init__(self, colors: Sequence[int], show: Callable[[Hashable], object] = str) -> None:
         self.colors = tuple(colors)
+        self.show = show
         self.node: list[Hashable] = []
         self.index: dict[Hashable, int] = {}
         self.wt: list[tuple[int, ...]] = []
@@ -48,11 +50,14 @@ class ColoredDigraph:
         if out[a] < 0:
             out[a] = b
         elif out[a] != b:
-            self.conflicts.append(f"two {c}-edges out of {self.node[a]}")
+            self.conflicts.append(f"two {c}-edges out of {self.name(a)}")
         if inn[b] < 0:
             inn[b] = a
         elif inn[b] != a:
-            self.conflicts.append(f"two {c}-edges into {self.node[b]}")
+            self.conflicts.append(f"two {c}-edges into {self.name(b)}")
+
+    def name(self, u: int) -> str:
+        return str(self.show(self.node[u]))
 
     @property
     def weights(self) -> dict[Hashable, tuple[int, ...]]:
@@ -106,9 +111,11 @@ class ColoredDigraph:
 
 def build_component(seeds: Iterable[Hashable], colors: Sequence[int],
                     step: Callable[[Hashable, int], tuple[Hashable | None, Hashable | None]],
-                    weight: Callable[[Hashable], tuple[int, ...]]) -> ColoredDigraph:
-    """Closure of the seed set under ``step(u, c) -> (lowered, raised)``."""
-    g = ColoredDigraph(colors)
+                    weight: Callable[[Hashable], tuple[int, ...]],
+                    show: Callable[[Hashable], object] = str) -> ColoredDigraph:
+    """Closure of the seed set under ``step(u, c) -> (lowered, raised)``; a witness
+    shows a node through ``show``."""
+    g = ColoredDigraph(colors, show)
     index, frontier = g.index, []
 
     def intern(u: Hashable) -> int:

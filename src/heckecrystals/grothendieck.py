@@ -44,14 +44,16 @@ class BetaSchurSeries:
     def slice(self, d: int) -> dict[tuple[int, ...], int]:
         return {mu: c for (deg, mu), c in self.coeffs.items() if deg == d}
 
+    def _key(self) -> tuple:            # what __eq__ compares and __hash__ hashes
+        return self.m, self.truncation, frozenset((k, v) for k, v in self.coeffs.items() if v)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BetaSchurSeries):
             return NotImplemented
-        clean = lambda s: {k: v for k, v in s.coeffs.items() if v}
-        return (self.m, self.truncation, clean(self)) == (other.m, other.truncation, clean(other))
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.m, self.truncation, frozenset(self.coeffs.items())))
+        return hash(self._key())
 
 
 # Far above the 53 shapes that ``verify --theorem all`` expands at the

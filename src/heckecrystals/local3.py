@@ -4,14 +4,13 @@ Every block is one of ``()``, ``(1)``, ``(2)``, ``(21)``.  Operators act
 on two adjacent blocks, with two transition chains whose branch is
 selected by the parity of the pair count of the strictly earlier blocks.
 
-The pair count comes from a recursive pairing pass over blocks 1, 2, ...
+The pair count comes from one pairing pass over blocks 1, 2, ...
 (rightmost first).  A full ``(21)`` block pairs internally.  A single 2
 acts only when the pair count so far is even, a single 1 only when it is
 odd; the acting letter then consults the leftmost unpaired letter among
 the earlier blocks and pairs with it when the letters and the parity of
-the pair count of the blocks strictly between them line up: a 2 catches
-a 1 over an even gap, a 2 catches a 2 over an odd gap, a 1 catches a 2
-over an even gap, and a 1 catches a 1 over an odd gap.
+the pair count of the blocks strictly between them line up: equal letters
+pair over an odd gap, different ones over an even gap.
 """
 
 from __future__ import annotations
@@ -53,58 +52,28 @@ class PairCounter:
 
 
 def _check_blocks(f: DecreasingFactorization) -> None:
-    for k in range(1, f.m + 1):
-        if f.factor(k) not in _BLOCKS:
-            raise ValidationError(
-                f"block {f.factor(k)} is not over the alphabet {{1, 2}}")
+    for blk in reversed(f.factors):
+        if blk not in _BLOCKS:
+            raise ValidationError(f"block {blk} is not over the alphabet {{1, 2}}")
 
 
 def pairing3(f: DecreasingFactorization) -> PairCounter:
+    """One pass over blocks 1, 2, ...; each unpaired single letter waits on a stack, so
+    the leftmost unpaired letter among the earlier blocks is its top."""
     _check_blocks(f)
-    m = f.m
-    prefix = [0] * (m + 1)
-    paired: set[Letter] = set()
-    pairs: list[tuple[Letter, Letter]] = []
-
-    def leftmost_unpaired(k: int) -> Letter | None:
-        for j in range(k - 1, 0, -1):
-            for b in f.factor(j):
-                if (j, b) not in paired:
-                    return (j, b)
-        return None
-
-    for k in range(1, m + 1):
-        blk = f.factor(k)
-        prefix[k] = prefix[k - 1]
+    prefix, pairs, stack = [0], [], []
+    for k, blk in enumerate(reversed(f.factors), start=1):
         if blk == _BOTH:
-            paired.update({(k, 2), (k, 1)})
             pairs.append(((k, 2), (k, 1)))
-            prefix[k] += 1
-            continue
-        if blk == _EMPTY:
-            continue
-        a = blk[0]
-        if prefix[k - 1] % 2 != (0 if a == 2 else 1):
-            continue
-        partner = leftmost_unpaired(k)
-        if partner is None:
-            continue
-        j, b = partner
-        gap = prefix[k - 1] - prefix[j]
-        hit = (
-            (a == 2 and b == 1 and gap % 2 == 0)
-            or (a == 2 and b == 2 and gap % 2 == 1)
-            or (a == 1 and b == 2 and gap % 2 == 0)
-            or (a == 1 and b == 1 and gap % 2 == 1)
-        )
-        if hit:
-            paired.update({(k, a), (j, b)})
-            pairs.append(((k, a), (j, b)))
-            prefix[k] += 1
-
-    unpaired = tuple((j, b) for j in range(1, m + 1) for b in f.factor(j)
-                     if (j, b) not in paired)
-    return PairCounter(tuple(prefix), tuple(pairs), unpaired)
+        elif blk:
+            a, (j, b) = blk[0], stack[-1] if stack else (0, 0)
+            gap = len(pairs) - prefix[j]             # pairs of the blocks strictly between
+            if j and len(pairs) % 2 == (a == 1) and (a == b) == (gap % 2 == 1):
+                pairs.append(((k, a), stack.pop()))
+            else:
+                stack.append((k, a))
+        prefix.append(len(pairs))
+    return PairCounter(tuple(prefix), tuple(pairs), tuple(stack))
 
 
 def _two_block_lower(upper: Block, lower: Block, even: bool) -> tuple[Block, Block] | None:
@@ -137,7 +106,7 @@ def _moves(f: DecreasingFactorization, i: int):
     """The lowering and the raising move of blocks ``i+1`` and ``i``, from one pairing."""
     if not 1 <= i < f.m:
         raise ValidationError(f"operator index {i} outside [1, {f.m - 1}]")
-    key = (f.factor(i + 1), f.factor(i), pairing3(f).count(1, i - 1) % 2 == 0)
+    key = (f.factors[-i - 1], f.factors[-i], pairing3(f).count(1, i - 1) % 2 == 0)
     return _two_block_lower(*key), _RAISE.get(key)
 
 

@@ -49,7 +49,7 @@ def pairing(f: DecreasingFactorization, i: int) -> Pairing:
     """Pair letters of block ``i+1`` (largest first) with the smallest
     unused letter of block ``i`` that is weakly larger."""
     _check_domain(f, i)
-    return Pairing(*_pair(f.factor(i), f.factor(i + 1)))
+    return Pairing(*_pair(f.factors[-i], f.factors[-i - 1]))
 
 
 def _pair(lower: tuple[int, ...], upper: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:

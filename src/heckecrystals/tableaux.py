@@ -11,13 +11,13 @@ other semistandardness conditions.
 A shape owns its geometry (:class:`Geometry`): row offsets, the cells of
 each row, the flat cells (bottom row first, left to right, so a cell's flat
 index is its place in ``rows`` read one row after another) with a cell to
-index map, each cell's right and upper neighbour and diagonal label, each
-column's cells, and the hash.  It is shared per ``(outer, inner)`` through
-one bounded table, which first checks both partitions and their
-containment: each distinct shape is checked once while the table holds it,
-and an invalid one, which the table never keeps, raises on every
-construction.  Fillings read and build (:func:`from_flat`,
-:func:`from_cells`) cells through it, and cache their hash.
+index map, each cell's right and upper neighbour and diagonal label, and
+each column's cells.  It is shared per ``(outer, inner)`` through one
+bounded table, which first checks both partitions and their containment:
+each distinct shape is checked once while the table holds it, and an
+invalid one, which the table never keeps, raises on every construction.
+Fillings read and build (:func:`from_flat`, :func:`from_cells`) cells
+through it; a shape hashes as ``(outer, inner)``, a filling as its shape and rows.
 
 Every filling is validated on every construction, with one walk over the
 cells that meets each cell together with its right and upper neighbours;
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from typing import Any, ClassVar, Iterator, Mapping
+from typing import Any, ClassVar, Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 from .hecke import HeckeWord
@@ -64,7 +64,6 @@ class Geometry:
     up: tuple[int, ...]                           # per cell, the flat index of (i + 1, j)
     columns: tuple[tuple[int, ...], ...]          # per column 1..width, lowest cell first
     labels: tuple[int, ...]                       # per cell, its diagonal label rows + j - i
-    hash: int
 
 
 # Each check walks one shape at a time; 256 also holds the distinct shapes of
@@ -94,7 +93,7 @@ def _geometry(outer: tuple[int, ...], inner: tuple[int, ...]) -> Geometry:
         up=tuple(index.get((i + 1, j), -1) for i, j in cells),
         columns=tuple(tuple(k for k, (_, j) in enumerate(cells) if j == col)
                       for col in range(1, max(outer, default=0) + 1)),
-        labels=tuple(len(outer) + j - i for i, j in cells), hash=hash((outer, inner)))
+        labels=tuple(len(outer) + j - i for i, j in cells))
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,6 @@ class SkewShape:
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
         return cell in self.geometry.index
-
-    def __hash__(self) -> int:
-        return self.geometry.hash
 
     def __str__(self) -> str:
         outer = ",".join(str(p) for p in self.outer)
@@ -189,11 +185,7 @@ class _Filling:
         return self.shape == other.shape and self.rows == other.rows
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.shape, self.rows)))
-            return self._hash
+        return hash((self.shape, self.rows))
 
     def __str__(self) -> str:
         return pretty(self)
@@ -320,7 +312,12 @@ class FlaggedIncreasingTableau(Tableau):
 
 def weight_of(t: SetValuedFilling | Tableau, length: int = 0) -> tuple[int, ...]:
     """Multiplicity vector of the letters ``1..max``, padded with zeros to ``length``."""
-    entries = list(t._letters())
+    return _weight(t._letters(), length)
+
+
+def _weight(letters: Iterable[int], length: int) -> tuple[int, ...]:
+    """:func:`weight_of` on the letters of a filling, such as those of its flat cells."""
+    entries = list(letters)
     counts = [0] * max(max(entries, default=0), length)
     for v in entries:
         counts[v - 1] += 1

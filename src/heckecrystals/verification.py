@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from typing import Callable, Iterator
 
 from .errors import ValidationError
@@ -34,7 +34,7 @@ from .residue import _res_flat, res, res_inv, res_inv_shaped
 from .star_crystal import _check_domain, pairing, phi, star_moves
 from .svt_crystal import svt_moves
 from .tableaux import (RowIncreasingTableau, SemistandardTableau, SkewShape, _svt_flats,
-                       excess_of, from_flat, row_word, svt_fillings, weight_of)
+                       _weight, excess_of, from_flat, row_word, svt_fillings, weight_of)
 from .uncrowding import _p_tableau, _q_tableau, _star_tilde, _uncrowded, uncrowd
 
 __all__ = ["Bounds", "CheckReport", "check_theorem", "stembridge_audit",
@@ -165,7 +165,7 @@ def _string_lengths(g: ColoredDigraph, step: list[int], c: int) -> list[int]:
         while v >= 0:
             k, v = k + 1, step[v]
             if k > len(step):
-                raise ValidationError(f"color {c} string through {g.node[u]} cycles")
+                raise ValidationError(f"color {c} string through {g.name(u)} cycles")
         lengths.append(k)
     return lengths
 
@@ -178,7 +178,7 @@ def stembridge_audit(g: ColoredDigraph) -> CheckReport:
 
 
 def _stembridge(g: ColoredDigraph) -> Witnesses:
-    node, wt, colors = g.node, g.wt, g.colors
+    wt, colors, name = g.wt, g.colors, g.name
     yield from g.conflicts
     eps = {c: _string_lengths(g, g.inn[c], c) for c in colors}
     phi = {c: _string_lengths(g, g.out[c], c) for c in colors}
@@ -186,14 +186,14 @@ def _stembridge(g: ColoredDigraph) -> Witnesses:
         out, e, f = g.out[c], eps[c], phi[c]
         for u, w in enumerate(wt):
             if f[u] - e[u] != w[c - 1] - w[c]:
-                yield f"string lengths at {node[u]} color {c} disagree with weight"
+                yield f"string lengths at {name(u)} color {c} disagree with weight"
             v = out[u]
             if v >= 0:
                 expected = list(w)
                 expected[c - 1] -= 1
                 expected[c] += 1
                 if list(wt[v]) != expected:
-                    yield f"edge {node[u]} -{c}-> {node[v]} moves weight incorrectly"
+                    yield f"edge {name(u)} -{c}-> {name(v)} moves weight incorrectly"
 
     # Under a raising step, an adjacent phi_j drops by one or eps_j
     # rises by one; lowering steps mirror this.  Distant colors never
@@ -207,34 +207,34 @@ def _stembridge(g: ColoredDigraph) -> Witnesses:
                 d_phi, d_eps = fj[v] - fj[u], ej[v] - ej[u]
                 if abs(i - j) >= 2:
                     if d_phi or d_eps:
-                        yield f"distant colors {i},{j} interact at {node[u]}"
+                        yield f"distant colors {i},{j} interact at {name(u)}"
                 elif (sign * d_phi, sign * d_eps) not in ((-1, 0), (0, 1)):
-                    yield (f"adjacent {kind} deltas at {node[u]} colors {i},{j}: "
+                    yield (f"adjacent {kind} deltas at {name(u)} colors {i},{j}: "
                            f"{(d_phi, d_eps)}")
 
     # The raising side reads (inn, eps), the lowering side (out, phi).
     for step, table, kind in ((g.inn, eps, "raising"), (g.out, phi, "lowering")):
         for i, j in combinations(sorted(colors), 2):
             si, sj, ti, tj = step[i], step[j], table[i], table[j]
-            for u in range(len(node)):
+            for u in range(len(wt)):
                 vi, vj = si[u], sj[u]
                 if vi < 0 or vj < 0:
                     continue
                 d_i_of_j, d_j_of_i = tj[vi] - tj[u], ti[vj] - ti[u]
                 if abs(i - j) >= 2 or (d_i_of_j == 0 and d_j_of_i == 0):
                     if sj[vi] < 0 or sj[vi] != si[vj]:
-                        yield f"{kind} {i},{j} fail to commute at {node[u]}"
+                        yield f"{kind} {i},{j} fail to commute at {name(u)}"
                 elif d_i_of_j == 1 and d_j_of_i == 1:
                     left = _path(step, vi, j, j, i)
                     if left < 0 or left != _path(step, vj, i, i, j):
-                        yield f"{kind} braid relation fails at {node[u]} ({i},{j})"
+                        yield f"{kind} braid relation fails at {name(u)} ({i},{j})"
 
     inns = list(g.inn.values())
     for comp in g.components():
         yield from repeat(None, len(comp))
         sources = sum(1 for u in comp if all(inn[u] < 0 for inn in inns))
         if sources != 1:
-            yield f"component of {node[comp[0]]} has {sources} highest weights"
+            yield f"component of {name(comp[0])} has {sources} highest weights"
 
 
 def _path(step: dict[int, list[int]], u: int, *colors: int) -> int:
@@ -257,11 +257,12 @@ def _table_step(table: dict, moves: Callable, build: Callable) -> Callable:
     return lambda u, c: tuple(map(node, moves(u, c)))
 
 
-def _audit_graph(seeds, step: Callable, wt: Callable, m: int, where: str = "") -> Witnesses:
+def _audit_graph(seeds, step: Callable, wt: Callable, m: int, where: str = "",
+                 show: Callable = str) -> Witnesses:
     """The Stembridge audit of the crystal graph on ``seeds`` and colors
     ``1..m-1``, plus the character of each component, which must be the
-    Schur polynomial of the sorted sink weight."""
-    g = build_component(seeds, tuple(range(1, m)), step, wt)
+    Schur polynomial of the sorted sink weight; witnesses show nodes through ``show``."""
+    g = build_component(seeds, tuple(range(1, m)), step, wt, show)
     sub = stembridge_audit(g)
     yield from repeat(None, sub.instances)
     for msg in sub.failures:
@@ -269,11 +270,11 @@ def _audit_graph(seeds, step: Callable, wt: Callable, m: int, where: str = "") -
     for comp in g.components():
         sinks = g.sinks(comp)
         if len(sinks) != 1:
-            yield f"component of {g.node[comp[0]]} has {len(sinks)} sinks"
+            yield f"component of {g.name(comp[0])} has {len(sinks)} sinks"
             continue
         mu = tuple(sorted((v for v in g.wt[sinks[0]] if v), reverse=True))
         if Counter(tuple(g.wt[u]) for u in comp) != schur_dict(mu, m):
-            yield f"component of {g.node[sinks[0]]} has a non-Schur character"
+            yield f"component of {g.name(sinks[0])} has a non-Schur character"
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +526,15 @@ def _check_stembridge_star(b: Bounds) -> Witnesses:
 @_check("stembridge-svt", Bounds(m=4, max_cells=6, max_rows=3, max_cols=3),
         deep=Bounds(m=4, max_cells=6, max_rows=4, max_cols=4))
 def _check_stembridge_svt(b: Bounds) -> Witnesses:
-    """A shape's fillings with entries at most m are closed under the operators, so each
-    image's flat cells are looked up among theirs for the audit; a miss is built.  The
-    audit steps all colours of a node in a row, so a node's flat cells are read once."""
+    """A shape's fillings with entries at most m are closed under the operators, so the
+    audit's nodes are their flat cells, and each image is looked up among them; a miss is
+    built.  A node is built as a tableau only to show it in a witness."""
     for shape in skew_shapes(b):
-        geo, last = shape.geometry, [None, None]     # the node stepped last, its flat cells
-        table = {flat: from_flat(shape, flat) for flat in _svt_flats(shape, b.m)}
-        def moves(t, c):
-            if t is not last[0]:
-                last[:] = t, t.flat()
-            return svt_moves(geo, last[1], c)
-
-        step = _table_step(table, moves, lambda u: from_flat(shape, u))
-        yield from _audit_graph(list(table.values()), step, lambda t: weight_of(t, b.m), b.m,
-                                f"{shape}: ")
+        geo, flats = shape.geometry, list(_svt_flats(shape, b.m))
+        step = _table_step(dict(zip(flats, flats)), lambda u, c: svt_moves(geo, u, c),
+                           lambda u: from_flat(shape, u).flat())
+        yield from _audit_graph(flats, step, lambda u: _weight(chain.from_iterable(u), b.m),
+                                b.m, f"{shape}: ", lambda u: from_flat(shape, u))
 
 
 @_check("stembridge-local3", Bounds(m=5, max_letters=6))

@@ -102,3 +102,23 @@ def test_cyclic_string_raises():
     assert (g.out, g.inn) == ({1: [1, 0]}, {1: [1, 0]})
     with pytest.raises(ValidationError, match="color 1 string through a cycles"):
         stembridge_audit(g)
+
+
+def test_witnesses_name_nodes_through_show():
+    """A conflict message, an audit witness and a cyclic string name a node through the
+    graph's ``show``, so nodes can be plain keys that a witness renders as their objects."""
+    lower = {"a": "b", "c": "b"}
+    g = build_component(["a", "c"], (1,), lambda u, c: (lower.get(u), None),
+                        lambda u: (1, 0), show=str.upper)
+    assert g.node == ["a", "c", "b"] and g.name(2) == "B"
+    assert g.conflicts == ["two 1-edges into B"]
+    report = stembridge_audit(g)
+    assert report.failures[0] == "two 1-edges into B"
+    assert "component of A has 2 highest weights" in report.failures
+    assert not any(f" {u} " in msg or msg.endswith(f" {u}") for msg in report.failures
+                   for u in "abc")
+    other = {"a": "b", "b": "a"}
+    g = build_component(["a"], (1,), lambda u, c: (other[u], other[u]), lambda u: (1, 1),
+                        show=lambda u: f"<{u}>")
+    with pytest.raises(ValidationError, match="color 1 string through <a> cycles"):
+        stembridge_audit(g)

@@ -2,6 +2,7 @@ import pytest
 
 from heckecrystals.errors import DomainError, ValidationError
 from heckecrystals.grothendieck import (
+    BetaSchurSeries,
     grassmannian_element,
     grothendieck_poly,
     schur_coeffs_via_crystal,
@@ -137,3 +138,11 @@ def test_symmetry_check_is_fast_in_many_variables():
 def test_expand_rejects_each_kind_of_asymmetry(poly, problem):
     with pytest.raises(ValidationError, match=f"^polynomial is not symmetric: .*{problem}"):
         schur_expand(poly, 3)
+
+
+def test_series_equal_up_to_zero_coefficients_hash_alike():
+    a = BetaSchurSeries({(0, (1,)): 2}, 2, 1)
+    b = BetaSchurSeries({(0, (1,)): 2, (1, (2,)): 0}, 2, 1)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != BetaSchurSeries({(0, (1,)): 2}, 2, 2)
+    assert a != BetaSchurSeries({(0, (1,)): 1}, 2, 1)

@@ -14,6 +14,7 @@ from heckecrystals.local3 import (
     phi3,
 )
 from heckecrystals.hecke import HeckeWord, eval_word
+from heckecrystals.local3 import PairCounter
 
 EX1 = pf("()(2)()(21)(1)(1)(2)(21)", n=3)
 EX2 = pf("()(2)(2)(21)(2)(1)(21)(21)", n=3)
@@ -145,3 +146,68 @@ def test_all_factorizations3_is_the_filtered_product_of_blocks(m, max_letters):
     got = [f.factors for f in all_factorizations3(m, max_letters)]
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def _scan_pairing3(f):
+    """The pairing as first written: each acting letter rescans the earlier blocks for the
+    leftmost letter not yet in the ``paired`` set, and the four cases are spelled out."""
+    m = f.m
+    prefix = [0] * (m + 1)
+    paired = set()
+    pairs = []
+
+    def leftmost_unpaired(k):
+        for j in range(k - 1, 0, -1):
+            for b in f.factor(j):
+                if (j, b) not in paired:
+                    return (j, b)
+        return None
+
+    for k in range(1, m + 1):
+        blk = f.factor(k)
+        prefix[k] = prefix[k - 1]
+        if blk == (2, 1):
+            paired.update({(k, 2), (k, 1)})
+            pairs.append(((k, 2), (k, 1)))
+            prefix[k] += 1
+            continue
+        if blk == ():
+            continue
+        a = blk[0]
+        if prefix[k - 1] % 2 != (0 if a == 2 else 1):
+            continue
+        partner = leftmost_unpaired(k)
+        if partner is None:
+            continue
+        j, b = partner
+        gap = prefix[k - 1] - prefix[j]
+        hit = (
+            (a == 2 and b == 1 and gap % 2 == 0)
+            or (a == 2 and b == 2 and gap % 2 == 1)
+            or (a == 1 and b == 2 and gap % 2 == 0)
+            or (a == 1 and b == 1 and gap % 2 == 1)
+        )
+        if hit:
+            paired.update({(k, a), (j, b)})
+            pairs.append(((k, a), (j, b)))
+            prefix[k] += 1
+
+    unpaired = tuple((j, b) for j in range(1, m + 1) for b in f.factor(j)
+                     if (j, b) not in paired)
+    return PairCounter(tuple(prefix), tuple(pairs), unpaired)
+
+
+def test_stack_pairing_matches_the_scanning_pairing():
+    """One stack pass gives the prefix counts, pairs and unpaired letters of the rescan,
+    on every factorization over {1, 2} with up to 7 blocks."""
+    count = 0
+    for m in range(1, 8):
+        for f in all_factorizations3(m, 2 * m):
+            assert pairing3(f) == _scan_pairing3(f), f
+            count += 1
+    assert count == 21_844
+
+
+def test_pairing_reports_the_first_bad_block_from_the_right():
+    with pytest.raises(ValidationError, match=r"block \(3,\) is not over"):
+        pairing3(pf("(31)(2)(3)", n=4))
