@@ -26,7 +26,7 @@ class ColoredDigraph:
     A second, different edge out of or into a node is kept out of the maps
     and recorded in ``conflicts``."""
 
-    def __init__(self, colors: Sequence[int], show: Callable[[Hashable], object] = str) -> None:
+    def __init__(self, colors: Sequence[int], show: Callable[[Hashable], object]) -> None:
         self.colors = tuple(colors)
         self.show = show
         self.node: list[Hashable] = []
