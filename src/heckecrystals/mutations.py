@@ -13,6 +13,7 @@ from typing import Iterator
 
 FSTAR_NEIGHBOR_CASE_OFF = "fstar_neighbor_case_off"
 FSVT_EXCEPTION_OFF = "fsvt_exception_off"
+RES_INV_STACK_OFF = "res_inv_stack_off"
 STAR_INSERT_RUN_CASE_OFF = "star_insert_run_case_off"
 SVT_BRACKET_OFF = "svt_bracket_off"
 UNBUMP_RUN_CASE_OFF = "unbump_run_case_off"

@@ -25,6 +25,7 @@ shape and returns the unique filling on it.
 
 from __future__ import annotations
 
+from . import mutations
 from .errors import DomainError, ReconstructionError, ValidationError
 from .factorization import DecreasingFactorization
 from .tableaux import Geometry, SetValuedFilling, SkewSetValuedTableau, SkewShape, from_cells
@@ -127,7 +128,7 @@ def res_inv(f: DecreasingFactorization) -> SkewSetValuedTableau:
     for run, height in zip(runs, heights):
         for (r, c), vals in run.items():
             cells[(base + r, c + base + r - rows)] = vals
-        base += height
+        base += height + mutations.enabled(mutations.RES_INV_STACK_OFF)  # fault: a gap row
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     for i, j in cells:

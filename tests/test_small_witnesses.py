@@ -19,7 +19,8 @@ from test_verification import SMALL
 FIXTURE = Path(__file__).parent / "data" / "small_witnesses.json"
 FAULTS = ("clean", mutations.FSTAR_NEIGHBOR_CASE_OFF, mutations.FSVT_EXCEPTION_OFF,
           mutations.STAR_INSERT_RUN_CASE_OFF, mutations.SVT_BRACKET_OFF,
-          mutations.UNCROWD_BUMP_ROW_OFF, mutations.UNBUMP_RUN_CASE_OFF)
+          mutations.UNCROWD_BUMP_ROW_OFF, mutations.UNBUMP_RUN_CASE_OFF,
+          mutations.RES_INV_STACK_OFF)
 
 
 def _report(name, fault):
@@ -39,7 +40,7 @@ def _reports():
 def test_small_bound_reports_match_the_fixture():
     expected = json.loads(FIXTURE.read_text())
     got = _reports()
-    assert len(got) == len(expected) == 112
+    assert len(got) == len(expected) == 128
     assert [k for k in got if got[k] != expected.get(k)] == []
 
 
