@@ -105,13 +105,15 @@ def _runs(f: DecreasingFactorization) -> list[Run]:
 
 def _fill(f: DecreasingFactorization, outer: tuple[int, ...], inner: tuple[int, ...],
           cells: dict[tuple[int, int], tuple[int, ...]]) -> SkewSetValuedTableau:
-    """The tableau with ``cells`` on ``outer/inner``; any way in which it
-    fails to be a preimage of ``f`` is a :class:`ReconstructionError`."""
+    """The preimage of ``f`` with ``cells`` on ``outer/inner``, or a ReconstructionError.
+    A cell of label ``c`` in row ``i`` sits in column ``c + i - rows``, and one label's
+    cells are one run on distinct rows, so no two cells share a position: once
+    ``from_cells`` has filled the shape, a letter is lost only on a cell outside it."""
     try:
         t = from_cells(SkewShape(outer, inner), cells)
     except ValidationError as exc:
         raise ReconstructionError(f"no skew filling realizes {f}: {exc}") from exc
-    if res(t, f.m).factors != f.factors:
+    if len(cells) != t.shape.size():
         raise ReconstructionError(f"cannot place the letters of {f} within shape {t.shape}")
     return t  # type: ignore[return-value]
 

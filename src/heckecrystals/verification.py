@@ -420,10 +420,10 @@ def _check_recording_intertwining(b: Bounds) -> Witnesses:
 @_check("uncrowding-compat", Bounds(m=3, max_cells=5, max_rows=4, max_cols=4, max_excess=2),
         deep=Bounds(m=3, max_cells=6, max_rows=4, max_cols=4, max_excess=3))
 def _check_uncrowding_compat(b: Bounds) -> Witnesses:
-    """Padded star insertion records the uncrowding of the canonical
-    representative of the residue class.  The residues of a shape's fillings
-    are the factorizations of its element, the Demazure product of its
-    diagonal labels read row by row from the top, right to left."""
+    """Padded star insertion records the uncrowding of the canonical representative
+    of the residue class, compared on rows (``uncrowd`` builds P only on a mismatch).
+    The residues of a shape's fillings are the factorizations of its element, the
+    Demazure product of its diagonal labels read row by row from the top, right to left."""
     done: set[HeckeElement] = set()
     for shape in skew_shapes(b):
         labels = shape.geometry.labels[::-1]
@@ -434,9 +434,9 @@ def _check_uncrowding_compat(b: Bounds) -> Witnesses:
         for h in enumerate_factorizations(w, b.m, b.max_excess):
             yield None
             canonical = res_inv(h)
-            p_tilde, _ = uncrowd(canonical)
+            p = _uncrowded(canonical.shape, canonical.flat())[:2]   # P's outer shape and cells
             q = _star_tilde(h, canonical).q
-            if q != p_tilde:
+            if (q.shape.outer, tuple(zip(q.flat()))) != p and q != uncrowd(canonical)[0]:
                 t = res_inv_shaped(h, shape)
                 yield f"uncrowding mismatch for {h} (from {t.rows} on {shape})"
 

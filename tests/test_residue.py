@@ -117,3 +117,67 @@ def test_flat_residue_reads_the_diagonal_label_of_each_cell():
             assert f.factors == expected and f == res(t, 3)
             checked += 1
     assert checked == 2_749
+
+
+def _fill_with_round_trip(f, outer, inner, cells):
+    """``residue._fill`` as it was when it confirmed each preimage by running :func:`res`
+    on it a second time: the reference for the size test that replaced that round trip."""
+    from heckecrystals.errors import ValidationError
+    from heckecrystals.tableaux import from_cells
+
+    try:
+        t = from_cells(SkewShape(outer, inner), cells)
+    except ValidationError as exc:
+        raise ReconstructionError(f"no skew filling realizes {f}: {exc}") from exc
+    if res(t, f.m).factors != f.factors:
+        raise ReconstructionError(f"cannot place the letters of {f} within shape {t.shape}")
+    return t
+
+
+def test_fill_agrees_with_the_round_trip_reference(monkeypatch):
+    """On the residues of the fillings of the 3x3 box with excess at most 1, against each
+    shape of the box that has an anchor for every run and no more cells on a label than
+    the residue's heap, ``res_inv_shaped`` gives the reference's tableau or raises its
+    message.  The filter keeps every pair with a preimage or that reaches the "cannot
+    place" test: a dropped pair lacks an anchor, so fails before ``_fill``, or has a cell
+    that no letter reaches, so fails in ``from_cells``, the same code in both."""
+    from collections import Counter
+
+    from heckecrystals import residue
+    from heckecrystals.residue import _res_flat, _runs
+    from heckecrystals.tableaux import _svt_flats
+
+    def outcome(fill, *args):
+        try:
+            return fill(*args)
+        except ReconstructionError as exc:
+            return str(exc)
+
+    def both(*args):
+        got = outcome(real, *args)
+        assert got == outcome(_fill_with_round_trip, *args)
+        seen[type(got).__name__ if isinstance(got, SkewSetValuedTableau) else got[:9]] += 1
+        if isinstance(got, str):
+            raise ReconstructionError(got)
+        return got
+
+    shapes = [(s, Counter(s.geometry.labels))
+              for s in skew_shapes(Bounds(m=3, max_cells=3, max_rows=3, max_cols=3))]
+    residues = {}
+    for s, _ in shapes:
+        for flat in _svt_flats(s, 3, 1):
+            f = _res_flat(s.geometry, flat, 3)
+            residues.setdefault(f.factors, f)
+    real, seen = residue._fill, Counter()
+    monkeypatch.setattr(residue, "_fill", both)
+    for f in residues.values():
+        runs = _runs(f)
+        heap = Counter(c for run in runs for _, c in run)
+        anchors = {min(run)[1] for run in runs}
+        for s, labels in shapes:
+            if anchors <= labels.keys() and all(heap[c] >= k for c, k in labels.items()):
+                try:
+                    res_inv_shaped(f, s)
+                except ReconstructionError:
+                    pass
+    assert seen == {"cannot pl": 3_020, "SkewSetValuedTableau": 1_662, "no skew f": 1_969}

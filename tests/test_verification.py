@@ -189,6 +189,25 @@ def test_uncrowding_compat_inverts_each_residue_once(monkeypatch):
     assert len({f.factors for f in calls}) == report.instances
 
 
+def test_uncrowding_compat_builds_three_fillings_per_residue(monkeypatch):
+    """Per residue the check builds the canonical preimage and the padded insertion's P
+    and Q, and compares that Q with the rows of the uncrowding core: no uncrowd, no
+    second res inside res_inv, no P or Q of uncrowd, and no factorization constructed."""
+    from heckecrystals import residue, tableaux, uncrowding, verification
+    from heckecrystals.factorization import DecreasingFactorization
+
+    built = _counting(monkeypatch, [tableaux._Filling], "__post_init__")
+    unused = [_counting(monkeypatch, [verification], "uncrowd"),
+              _counting(monkeypatch, [residue, verification], "res"),
+              _counting(monkeypatch, [uncrowding, verification], "_p_tableau"),
+              _counting(monkeypatch, [uncrowding, verification], "_q_tableau"),
+              _counting(monkeypatch, [DecreasingFactorization], "__post_init__")]
+    report = check_theorem("uncrowding-compat", SMALL["uncrowding-compat"])
+    assert report.ok and report.instances == 1_375
+    assert len(built) == 3 * report.instances
+    assert unused == [[]] * 5
+
+
 @pytest.mark.parametrize("b, residues", [
     pytest.param(SMALL["uncrowding-compat"], 1_375, id="small"),
     pytest.param(default_bounds("uncrowding-compat"), 42_418, id="default"),
@@ -198,8 +217,6 @@ def test_uncrowding_compat_enumerates_each_residue_class(monkeypatch, b, residue
     factorizations of the shape's element: its diagonal labels, rows top to
     bottom and each right to left.  Distinct elements give disjoint
     classes, and the check runs once on each distinct residue of a filling."""
-    from types import SimpleNamespace
-
     from heckecrystals import verification
     from heckecrystals.factorization import enumerate_factorizations
     from heckecrystals.hecke import HeckeWord, eval_word
@@ -220,10 +237,14 @@ def test_uncrowding_compat_enumerates_each_residue_class(monkeypatch, b, residue
     distinct = set().union(*classes.values())
     assert len(distinct) == sum(map(len, classes.values())) == residues
 
-    inverted = []
-    monkeypatch.setattr(verification, "res_inv", lambda h: inverted.append(h.factors))
+    # every residue gets one fixed canonical preimage and its padded insertion,
+    # which agree on rows, so the check never falls back to uncrowd
+    inverted, h0 = [], pf("(1)")
+    t0 = verification.res_inv(h0)
+    tilde = verification._star_tilde(h0, t0)
+    monkeypatch.setattr(verification, "res_inv", lambda h: inverted.append(h.factors) or t0)
     monkeypatch.setattr(verification, "uncrowd", lambda t: (None, None))
-    monkeypatch.setattr(verification, "_star_tilde", lambda h, t: SimpleNamespace(q=None))
+    monkeypatch.setattr(verification, "_star_tilde", lambda h, t: tilde)
     report = check_theorem("uncrowding-compat", b)
     assert report.ok and report.instances == residues
     assert len(inverted) == residues and set(inverted) == distinct
