@@ -12,13 +12,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
 
 from .errors import DomainError, ValidationError
 from .factorization import enumerate_factorizations, weight
 from .hecke import HeckeElement, is_fully_commutative
 from .star_crystal import phi
-from .tableaux import SkewShape, svt_fillings, weight_of
+from .tableaux import SkewShape, _svt_flats, _weight
 
 __all__ = [
     "BetaSchurSeries",
@@ -64,7 +65,7 @@ _SCHUR_CACHE_SIZE = 1 << 12
 @lru_cache(maxsize=_SCHUR_CACHE_SIZE)
 def schur_poly(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Schur polynomial as a sorted tuple of (exponent, coefficient)."""
-    poly = Counter(weight_of(t, m) for t in svt_fillings(SkewShape(mu), m, max_excess=0))
+    poly = Counter(_weight(chain.from_iterable(u), m) for u in _svt_flats(SkewShape(mu), m, 0))
     return tuple(sorted(poly.items()))
 
 
