@@ -22,7 +22,7 @@ from .local3 import crystal_graph_local3
 from .residue import res, res_inv, res_inv_shaped
 from .star_crystal import crystal_graph
 from .svt_crystal import crystal_graph_svt
-from .tableaux import Tableau, pretty
+from .tableaux import pretty
 from .uncrowding import uncrowd
 from .verification import available_checks, check_theorem, run_all
 
@@ -38,12 +38,7 @@ def _read_payload(args) -> str:
 
 
 def _result_to_json(result: InsertionResult) -> dict:
-    out: dict = {}
-    for key, tab in (("P", result.p), ("Q", result.q)):
-        if isinstance(tab, Tableau):
-            out[key] = formats.tableau_to_json(tab)
-        else:
-            out[key] = formats.filling_to_json(tab)
+    out: dict = {"P": formats.filling_to_json(result.p), "Q": formats.filling_to_json(result.q)}
     if result.trace is not None:
         out["trace"] = [[list(cell) for cell in path] for path in result.trace]
     return out

@@ -109,13 +109,11 @@ def factorization_from_json(data: dict[str, Any]) -> DecreasingFactorization:
                                    _json_int(data["n"], '"n"'))
 
 
-def filling_to_json(t: SetValuedFilling) -> dict[str, Any]:
-    return {
-        "notation": "french",
-        "outer": list(t.shape.outer),
-        "inner": list(t.shape.inner),
-        "rows": [[list(cell) for cell in row] for row in t.rows],
-    }
+def filling_to_json(t: SetValuedFilling | Tableau) -> dict[str, Any]:
+    """A single-valued tableau's cells are written as singletons."""
+    cell = (lambda v: [v]) if isinstance(t, Tableau) else list
+    return {"notation": "french", "outer": list(t.shape.outer), "inner": list(t.shape.inner),
+            "rows": [[cell(v) for v in row] for row in t.rows]}
 
 
 def filling_from_json(data: dict[str, Any]) -> SetValuedFilling:
@@ -151,7 +149,7 @@ def _json_ints(value: Any, what: str) -> tuple[int, ...]:
 
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:
-    return filling_to_json(t.as_set_valued())
+    return filling_to_json(t)
 
 
 def loads(text: str) -> dict[str, Any]:
