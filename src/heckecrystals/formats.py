@@ -110,10 +110,13 @@ def factorization_from_json(data: dict[str, Any]) -> DecreasingFactorization:
 
 
 def filling_to_json(t: SetValuedFilling | Tableau) -> dict[str, Any]:
-    """A single-valued tableau's cells are written as singletons."""
-    cell = (lambda v: [v]) if isinstance(t, Tableau) else list
-    return {"notation": "french", "outer": list(t.shape.outer), "inner": list(t.shape.inner),
-            "rows": [[cell(v) for v in row] for row in t.rows]}
+    rows = t.as_set_valued().rows if isinstance(t, Tableau) else t.rows   # cells as singletons
+    return {
+        "notation": "french",
+        "outer": list(t.shape.outer),
+        "inner": list(t.shape.inner),
+        "rows": [[list(cell) for cell in row] for row in rows],
+    }
 
 
 def filling_from_json(data: dict[str, Any]) -> SetValuedFilling:
@@ -148,8 +151,7 @@ def _json_ints(value: Any, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def tableau_to_json(t: Tableau) -> dict[str, Any]:
-    return filling_to_json(t)
+tableau_to_json = filling_to_json
 
 
 def loads(text: str) -> dict[str, Any]:

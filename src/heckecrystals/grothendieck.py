@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import factorial, prod
 
 from .errors import DomainError, ValidationError
@@ -65,7 +64,7 @@ _SCHUR_CACHE_SIZE = 1 << 12
 @lru_cache(maxsize=_SCHUR_CACHE_SIZE)
 def schur_poly(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Schur polynomial as a sorted tuple of (exponent, coefficient)."""
-    poly = Counter(_weight(chain.from_iterable(u), m) for u in _svt_flats(SkewShape(mu), m, 0))
+    poly = Counter(_weight((v for v, in u), m) for u in _svt_flats(SkewShape(mu), m, 0))
     return tuple(sorted(poly.items()))
 
 
