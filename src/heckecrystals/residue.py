@@ -10,12 +10,15 @@ elements of Coxeter groups", 1996).  Reading the letters of ``f`` in word
 order (largest letter first, labels decreasing), a letter on label ``c``
 joins the latest cell on ``c`` when that cell is newer than the latest
 cells on ``c - 1`` and ``c + 1``: there the Demazure product keeps the
-permutation fixed.  Otherwise it opens a new cell, in the row of the
-latest cell on ``c + 1`` and one row below the latest cells on ``c - 1``
-and ``c``.  These links fix the rows inside each run of consecutive
-labels.  A row never holds two runs, and runs with larger labels sit
-lower, so only the height of each run is free; where two runs' labels
-differ by exactly two they touch at a corner.
+permutation fixed.  Otherwise it opens a new cell, one row below the
+previous cell on ``c``.  A label's first cell fixes its offset to each
+neighbour that already has cells: it is level with the latest cell on
+``c + 1`` and one row below the latest cell on ``c - 1``.  In a skew
+diagram every later cell agrees with these offsets, so they fix the rows
+inside each run of consecutive labels, read from its largest label down.
+A row never holds two runs, and runs with larger labels sit lower, so
+only the height of each run is free; where two runs' labels differ by
+exactly two they touch at a corner.
 
 ``res_inv`` stacks the runs with no empty rows between them, which gives
 the canonical preimage: fewest rows, then lexicographically smallest
@@ -63,44 +66,36 @@ def _require_fc(f: DecreasingFactorization, what: str) -> None:
 def _runs(f: DecreasingFactorization) -> list[Run]:
     """The heap of ``f``, one run of consecutive labels at a time, the
     run with the largest labels first."""
-    labels: list[int] = []                        # per cell, in the order cells open
-    letters: list[list[int]] = []
-    links: list[list[tuple[int, int]]] = []       # (other cell, its row minus this row)
-    top: dict[int, int] = {}                      # label -> latest cell on it
+    cells: dict[int, list[list[int]]] = {}        # label -> letters per cell, in opening order
+    up: dict[int, int] = {}                       # c -> row of c's first cell less c + 1's
+    top: dict[int, int] = {}                      # label -> when its latest cell opened
+    opened = 0
     for k in range(f.m, 0, -1):
         for c in f.factor(k):
             latest = top.get(c, -1)
             if latest > top.get(c - 1, -1) and latest > top.get(c + 1, -1):
-                letters[latest].append(k)
+                cells[c][-1].append(k)
                 continue
-            new = len(labels)
-            labels.append(c)
-            letters.append([k])
-            links.append([])
-            for label, up in ((c + 1, 0), (c - 1, 1), (c, 1)):
-                if label in top:
-                    links[new].append((top[label], up))
-                    links[top[label]].append((new, -up))
-            top[c] = new
-
-    row: list[int | None] = [None] * len(labels)
+            if c not in cells:
+                cells[c] = []
+                if c + 1 in cells:
+                    up[c] = 1 - len(cells[c + 1])
+                if c - 1 in cells:
+                    up[c - 1] = len(cells[c - 1])
+            cells[c].append([k])
+            opened += 1
+            top[c] = opened
     runs: list[Run] = []
-    for first in range(len(labels)):
-        if row[first] is not None:
-            continue
-        row[first] = 0
-        run, todo = [first], [first]
-        while todo:
-            u = todo.pop()
-            for v, up in links[u]:
-                if row[v] is None:
-                    row[v] = row[u] + up
-                    run.append(v)
-                    todo.append(v)
-        low = min(row[u] for u in run)
-        runs.append({(row[u] - low, labels[u]): tuple(reversed(letters[u])) for u in run})
-    runs.sort(key=lambda run: -max(c for _, c in run))
-    return runs
+    for c in sorted(cells, reverse=True):
+        if c + 1 in cells:
+            row += up[c]
+        else:
+            row, run = 0, {}
+            runs.append(run)
+        for j, vals in enumerate(cells[c]):
+            run[(row - j, c)] = tuple(reversed(vals))
+    lows = [min(r for r, _ in run) for run in runs]
+    return [{(r - low, c): vals for (r, c), vals in run.items()} for run, low in zip(runs, lows)]
 
 
 def _fill(f: DecreasingFactorization, outer: tuple[int, ...], inner: tuple[int, ...],

@@ -3,7 +3,9 @@
 One uncrowding step finds the topmost row still holding a multicell,
 removes the largest letter lying in a multicell of that row, and
 Schensted-bumps it through the rows above (which by choice of row are
-all single-valued).  The recording side collects, for every step, the
+all single-valued).  A step leaves them single-valued, so ``uncrowd``
+walks the rows once from the top down, stepping out of each row while it
+holds a multicell.  The recording side collects, for every step, the
 vertical travel distance of the removed letter into a flagged
 increasing tableau on the new cells.
 
@@ -30,15 +32,10 @@ from .tableaux import (FlaggedIncreasingTableau, SemistandardTableau, SkewSetVal
 __all__ = ["uncrowd_step", "uncrowd", "t_mu", "star_tilde"]
 
 
-def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int]
-                  ) -> tuple[tuple[int, int], int] | None:
-    """One uncrowding step on ``rows`` (ascending cell lists) and their
-    ``outer`` lengths, in place.  Returns the added cell and the row the
-    removed letter came from, or None once no multicell is left."""
-    r = max((i for i, row in enumerate(rows, start=1) if any(len(c) > 1 for c in row)),
-            default=None)
-    if r is None:
-        return None
+def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int], r: int) -> tuple[int, int]:
+    """One uncrowding step out of row ``r`` of ``rows`` (ascending cell lists) and their
+    ``outer`` lengths, in place; row ``r`` holds a multicell and no row above it does.
+    Returns the added cell."""
     _, k = max((cell[-1], k) for k, cell in enumerate(rows[r - 1]) if len(cell) > 1)
     x = rows[r - 1][k].pop()
 
@@ -56,18 +53,20 @@ def _uncrowd_rows(rows: list[list[list[int]]], outer: list[int]
         outer.append(0)
     rows[i].append([x])
     outer[i] += 1
-    return (i + 1, outer[i]), r
+    return i + 1, outer[i]
 
 
 def uncrowd_step(t: SkewSetValuedTableau) -> tuple[SkewSetValuedTableau, tuple[int, int], int]:
     """One uncrowding step.  Returns the new tableau, the added cell and
     the row the removed letter came from."""
     rows, outer = [[list(cell) for cell in row] for row in t.rows], list(t.shape.outer)
-    step = _uncrowd_rows(rows, outer)
-    if step is None:
+    r = max((i for i, row in enumerate(rows, start=1) if any(len(c) > 1 for c in row)),
+            default=None)
+    if r is None:
         raise ValidationError("tableau has no multicell")
+    added = _uncrowd_rows(rows, outer, r)
     shape = SkewShape(tuple(outer), t.shape.inner)
-    return SkewSetValuedTableau(shape, tuple(tuple(map(tuple, row)) for row in rows)), *step
+    return SkewSetValuedTableau(shape, tuple(tuple(map(tuple, row)) for row in rows)), added, r
 
 
 def uncrowd(t: SkewSetValuedTableau) -> tuple[SemistandardTableau, FlaggedIncreasingTableau]:
@@ -83,9 +82,10 @@ def _uncrowded(shape: SkewShape, flat: tuple) -> tuple[tuple[int, ...], tuple, t
     cells = iter(flat)
     rows = [[list(next(cells)) for _ in row] for row in shape.geometry.rows]
     outer, recording = list(shape.outer), []
-    while (step := _uncrowd_rows(rows, outer)) is not None:
-        added, source = step
-        recording.append((added, added[0] - source))
+    for r in range(len(rows), 0, -1):
+        while any(len(c) > 1 for c in rows[r - 1]):
+            added = _uncrowd_rows(rows, outer, r)
+            recording.append((added, added[0] - r))
     p_flat = tuple(tuple(cell) for row in rows for cell in row)
     return tuple(outer), p_flat, tuple(sorted(recording))
 

@@ -181,3 +181,65 @@ def test_fill_agrees_with_the_round_trip_reference(monkeypatch):
                 except ReconstructionError:
                     pass
     assert seen == {"cannot pl": 3_020, "SkewSetValuedTableau": 1_662, "no skew f": 1_969}
+
+
+def _runs_by_links(f):
+    """``residue._runs`` as it was when it linked each new cell to the latest cells on
+    its label and both neighbours and read the rows off each linked component: the
+    reference for the construction that replaced the link graph."""
+    labels, letters, links, top = [], [], [], {}
+    for k in range(f.m, 0, -1):
+        for c in f.factor(k):
+            latest = top.get(c, -1)
+            if latest > top.get(c - 1, -1) and latest > top.get(c + 1, -1):
+                letters[latest].append(k)
+                continue
+            new = len(labels)
+            labels.append(c)
+            letters.append([k])
+            links.append([])
+            for label, up in ((c + 1, 0), (c - 1, 1), (c, 1)):
+                if label in top:
+                    links[new].append((top[label], up))
+                    links[top[label]].append((new, -up))
+            top[c] = new
+    row = [None] * len(labels)
+    runs = []
+    for first in range(len(labels)):
+        if row[first] is not None:
+            continue
+        row[first] = 0
+        run, todo = [first], [first]
+        while todo:
+            u = todo.pop()
+            for v, up in links[u]:
+                if row[v] is None:
+                    row[v] = row[u] + up
+                    run.append(v)
+                    todo.append(v)
+        low = min(row[u] for u in run)
+        runs.append({(row[u] - low, labels[u]): tuple(reversed(letters[u])) for u in run})
+    runs.sort(key=lambda run: -max(c for _, c in run))
+    return runs
+
+
+def test_runs_agree_with_the_link_graph_reference():
+    """``_runs`` gives the reference's runs, in the same order, on every distinct residue
+    of the fillings of the 4x4 box with at most 4 cells, m = 3 and excess at most 2, and
+    on every factorization of the fully-commutative elements of S_5 with m <= 4 blocks
+    and excess at most 2."""
+    from heckecrystals.factorization import enumerate_factorizations
+    from heckecrystals.hecke import fully_commutative_elements
+    from heckecrystals.residue import _res_flat, _runs
+    from heckecrystals.tableaux import _svt_flats
+
+    residues = {}
+    for s in skew_shapes(Bounds(m=3, max_cells=4, max_rows=4, max_cols=4)):
+        for flat in _svt_flats(s, 3, 2):
+            f = _res_flat(s.geometry, flat, 3)
+            residues.setdefault(f.factors, f)
+    factorizations = [f for w in fully_commutative_elements(5) for m in range(1, 5)
+                      for f in enumerate_factorizations(w, m, 2)]
+    for f in [*residues.values(), *factorizations]:
+        assert _runs(f) == _runs_by_links(f), f
+    assert (len(residues), len(factorizations)) == (21_277, 7_252)
