@@ -122,3 +122,50 @@ def test_witnesses_name_nodes_through_show():
                         show=lambda u: f"<{u}>")
     with pytest.raises(ValidationError, match="color 1 string through <a> cycles"):
         stembridge_audit(g)
+
+
+def test_audit_witnesses_each_local_fault():
+    """The star component of ``()(2)(1)(32)`` (20 nodes, 30 edges) audits clean.  Every
+    single-edge deletion breaks its string lengths and an adjacent delta, 20 of them a
+    distant colour and a commutation, and 8 a braid relation; one deletion's report, which
+    has all five kinds, is pinned whole.  Raising the seed's first weight entry by one
+    breaks its string lengths and moves the weight of each of its edges incorrectly."""
+    from collections import Counter
+
+    from heckecrystals.formats import parse_factorization as pf
+    from heckecrystals.star_crystal import crystal_graph
+
+    g = crystal_graph(pf("()(2)(1)(32)"))
+    assert (len(g.node), len(g.edges), stembridge_audit(g).failures) == (20, 30, [])
+    kinds = ("string lengths at ", "adjacent ", "distant colors ", " fail to commute at ",
+             " braid relation fails at ")
+    fired, reports = Counter(), {}
+    for c in g.colors:
+        for u, v in enumerate(g.out[c]):
+            if v >= 0:
+                g.out[c][u] = g.inn[c][v] = -1
+                reports[g.name(u), c] = failures = stembridge_audit(g).failures
+                g.out[c][u], g.inn[c][v] = v, u
+                fired.update(k for k in kinds if any(k in msg for msg in failures))
+    assert len(reports) == 30 and fired == dict(zip(kinds, (30, 30, 20, 20, 8)))
+    assert reports["(2)()(1)(32)", 1] == [
+        "string lengths at (2)()(1)(32) color 1 disagree with weight",
+        "string lengths at (2)()(31)(2) color 1 disagree with weight",
+        "adjacent raise deltas at (2)(1)()(32) colors 2,1: (-2, 0)",
+        "adjacent raise deltas at (2)(3)(1)(2) colors 2,1: (0, 0)",
+        "adjacent lower deltas at (2)()(1)(32) colors 2,1: (2, 0)",
+        "adjacent lower deltas at (2)()(31)(2) colors 2,1: (0, 0)",
+        "distant colors 3,1 interact at (2)()(1)(32)",
+        "distant colors 3,1 interact at (2)()(31)(2)",
+        "distant colors 3,1 interact at ()(2)(1)(32)",
+        "distant colors 3,1 interact at ()(2)(31)(2)",
+        "raising braid relation fails at (2)(31)(2)() (1,2)",
+        "lowering 1,3 fail to commute at ()(2)(1)(32)"]
+    w = g.wt[0]
+    g.wt[0] = (w[0] + 1, *w[1:])
+    assert stembridge_audit(g).failures == [
+        "string lengths at ()(2)(1)(32) color 1 disagree with weight",
+        "edge ()(2)(1)(32) -1-> ()(2)(31)(2) moves weight incorrectly",
+        "edge ()(2)(1)(32) -2-> ()(21)()(32) moves weight incorrectly",
+        "edge ()()(21)(32) -2-> ()(2)(1)(32) moves weight incorrectly",
+        "edge ()(2)(1)(32) -3-> (2)()(1)(32) moves weight incorrectly"]
