@@ -4,8 +4,8 @@ A decreasing factorization splits a 0-Hecke word into ``m`` blocks of
 strictly decreasing letters, written leftmost block first.  Internally
 ``factors[0]`` is the *leftmost* block; the customary superscript ``i``
 (counting blocks from the right, so block 1 is rightmost) is translated
-by :meth:`DecreasingFactorization.factor`, which is the only indexing
-API the rest of the package uses.
+by :meth:`DecreasingFactorization.factor`; ``weight``, the crystal cores
+and the local pairing read ``factors`` by position instead.
 
 The factorizations of an element ``w`` are enumerated by construction:
 every block, grown a letter at a time, keeps the Demazure prefix in the
