@@ -69,13 +69,9 @@ class DecreasingFactorization:
     def num_letters(self) -> int:
         return sum(len(f) for f in self.factors)
 
-    def __str__(self) -> str:
-        def block(f: tuple[int, ...]) -> str:
-            if any(a > 9 for a in f):
-                return "(" + " ".join(str(a) for a in f) + ")"
-            return "(" + "".join(str(a) for a in f) + ")"
-
-        return "".join(block(f) for f in self.factors)
+    def __str__(self) -> str:    # letters above 9 are spaced apart
+        return "".join("(" + (" " if any(a > 9 for a in f) else "").join(map(str, f)) + ")"
+                       for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -114,11 +110,7 @@ class HeckeBiword:
         return eval_word(HeckeWord(self.bottom, self.n))
 
     def __str__(self) -> str:
-        return (
-            " ".join(str(k) for k in self.top)
-            + " / "
-            + " ".join(str(a) for a in self.bottom)
-        )
+        return f"{' '.join(map(str, self.top))} / {' '.join(map(str, self.bottom))}"
 
 
 def weight(f: DecreasingFactorization) -> tuple[int, ...]:

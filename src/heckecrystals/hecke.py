@@ -110,12 +110,11 @@ def is_fully_commutative(e: HeckeElement) -> bool:
             low = v
     suffix_min.reverse()
     high = 0
-    for v, low in zip(p, suffix_min):
-        if v < high:
-            if v > low:
-                return False
-        else:
+    for v, low in zip(p, suffix_min):       # entries are distinct
+        if v > high:
             high = v
+        elif v > low:
+            return False
     return True
 
 

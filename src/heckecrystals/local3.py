@@ -135,17 +135,15 @@ def step3(f: DecreasingFactorization, i: int
 
 
 def phi3(f: DecreasingFactorization, i: int) -> int:
-    k, cur = 0, f
-    while (nxt := f3(cur, i)) is not None:
-        cur = nxt
+    k = 0
+    while (f := f3(f, i)) is not None:
         k += 1
     return k
 
 
 def epsilon3(f: DecreasingFactorization, i: int) -> int:
-    k, cur = 0, f
-    while (nxt := e3(cur, i)) is not None:
-        cur = nxt
+    k = 0
+    while (f := e3(f, i)) is not None:
         k += 1
     return k
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -275,7 +276,9 @@ def test_operator_rewrites_pairs_once_per_letter(monkeypatch):
 def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply):
     """Each operator image is looked up among the enumerated flat cells of its
     shape: the check constructs no SkewSetValuedTableau at all, never calls ``res``
-    or ``uncrowd``, and runs their flat core once on the flat cells of each filling."""
+    or ``uncrowd``, and runs their flat core once on the flat cells of each filling,
+    in order.  ``residue-intertwining`` runs its core only on the fillings of the
+    first shape of each class (see :func:`_shape_class`), never on a repeated class."""
     from heckecrystals import verification
     from heckecrystals.tableaux import SkewSetValuedTableau
     from heckecrystals.verification import skew_shapes, svt_fillings
@@ -283,14 +286,20 @@ def test_intertwining_checks_look_images_up_not_rebuild(monkeypatch, name, apply
     b = SMALL[name]
     excess = b.max_excess if name == "uncrowding-intertwining" else None
     key = lambda geo, flat: (geo.offsets, geo.cells, flat)  # noqa: E731 - fixes the shape
+    shapes = list(skew_shapes(b))
+    firsts = {}
+    for shape in shapes:
+        firsts.setdefault(_shape_class(shape), shape)
+    computed = list(firsts.values()) if apply == "res" else shapes
     fillings = [key(shape.geometry, t.flat())
-                for shape in skew_shapes(b) for t in svt_fillings(shape, b.m, excess)]
+                for shape in computed for t in svt_fillings(shape, b.m, excess)]
+    instances = sum(1 for shape in shapes for _ in svt_fillings(shape, b.m, excess))
     core = {"res": "_res_flat", "uncrowd": "_uncrowded"}[apply]
     built = _counting(monkeypatch, [SkewSetValuedTableau], "__post_init__")
     wrapped = _counting(monkeypatch, [verification], apply)
     applied = _calls(monkeypatch, verification, core)
     report = check_theorem(name, b)
-    assert report.ok and report.instances == len(fillings) * (b.m - 1)
+    assert report.ok and report.instances == instances * (b.m - 1)
     assert built == wrapped == []
     geo = (lambda g: g) if apply == "res" else (lambda shape: shape.geometry)
     assert [key(geo(at), flat) for at, flat, *_ in applied] == fillings
@@ -424,3 +433,94 @@ def test_an_image_outside_the_enumerated_fillings_is_a_witness(monkeypatch):
     assert len(report.failures) == 1
     assert report.failures[0].startswith("exception: ValidationError(")
     assert "outside the enumerated fillings" in report.failures[0]
+
+
+def _shape_class(shape):
+    """The class of ``shape`` whose members ``residue-intertwining`` runs once: its flat
+    cells moved so that the lowest row and column are 0, each with its diagonal label."""
+    geo = shape.geometry
+    i0, j0 = geo.cells[0][0], min(j for _, j in geo.cells)
+    return tuple((i - i0, j - j0, c) for (i, j), c in zip(geo.cells, geo.labels))
+
+
+def _residue_intertwining_by_shape(b):
+    """``residue-intertwining`` as it ran before the classes of shapes: every shape in
+    full.  The reference for the stream of the check."""
+    from heckecrystals.verification import (_check_domain, _outside, _res_flat, _svt_flats,
+                                            _table_step, from_flat, skew_shapes, star_moves,
+                                            svt_moves)
+
+    for shape in skew_shapes(b):
+        geo = shape.geometry
+        ids = {flat: k for k, flat in enumerate(_svt_flats(shape, b.m))}
+        step = _table_step(ids, lambda u, i: svt_moves(geo, u, i), lambda u: _outside(shape, u))
+        residues = [_res_flat(geo, flat, b.m) for flat in ids]
+        for flat, f in zip(ids, residues):
+            for i in range(1, b.m):
+                yield None
+                images = step(flat, i)
+                _check_domain(f, i)
+                for k, rhs, tag in zip(images, star_moves(f.factors, i), ("lower", "raise")):
+                    lhs = None if k is None else residues[k].factors
+                    if lhs != rhs:
+                        t = from_flat(shape, flat)
+                        yield f"{tag} {i} on {shape}: {t.rows} -> {lhs} vs {rhs}"
+
+
+def _stream(items):
+    """Every item of ``items``, uncapped, and the ``repr`` of the exception that ends them."""
+    out = []
+    try:
+        out.extend(items)
+    except Exception as exc:  # noqa: BLE001 - the exception is part of the stream
+        out.append(repr(exc))
+    return out
+
+
+def test_residue_intertwining_streams_as_the_shape_by_shape_run():
+    """Clean and under every fault, the check yields the reference's items, without the
+    50-witness cap: each ``None``, each witness in its place, and the same ending
+    exception.  The faulted streams hold classes whose later members fail again, which
+    the capped fixture cannot show."""
+    from heckecrystals.verification import _check_residue_intertwining
+    from test_small_witnesses import FAULTS
+
+    b = SMALL["residue-intertwining"]
+    streams = {}
+    for fault in FAULTS:
+        with mutations.mutation(fault) if fault != "clean" else nullcontext():
+            streams[fault] = _stream(_check_residue_intertwining(b))
+            assert streams[fault] == _stream(_residue_intertwining_by_shape(b)), fault
+    sizes = {fault: (len(s), sum(x is not None for x in s)) for fault, s in streams.items()}
+    assert sizes["clean"] == (5_498, 0)
+    assert sizes[mutations.FSTAR_NEIGHBOR_CASE_OFF] == (5_726, 228)
+    assert sizes[mutations.SVT_BRACKET_OFF] == (6_362, 864)
+    raised = streams[mutations.FSVT_EXCEPTION_OFF]
+    assert len(raised) == 72 and raised[-1].startswith("ValidationError(")
+
+
+def test_shapes_of_a_class_give_the_same_flats_moves_and_residues():
+    """The identity behind running ``residue-intertwining`` once per class: every member
+    of a class has its first member's enumerated flat cells, ``svt_moves`` at each
+    color and residues.  A core that read absolute positions would break it."""
+    from heckecrystals.residue import _res_flat
+    from heckecrystals.svt_crystal import svt_moves
+    from heckecrystals.tableaux import SkewShape, _svt_flats
+    from heckecrystals.verification import skew_shapes
+
+    def outputs(shape, m):
+        geo, flats = shape.geometry, list(_svt_flats(shape, m))
+        return (flats, [svt_moves(geo, flat, i) for flat in flats for i in range(1, m)],
+                [_res_flat(geo, flat, m) for flat in flats])
+
+    b = SMALL["residue-intertwining"]
+    first = {}
+    for shape in skew_shapes(b):
+        rep = first.setdefault(_shape_class(shape), (shape, outputs(shape, b.m)))
+        assert outputs(shape, b.m) == rep[1], (shape, rep[0])
+    assert len(first) < sum(1 for _ in skew_shapes(b))
+    workload = Bounds(m=3, max_cells=3, max_rows=4, max_cols=4)     # verify-tableau's
+    shapes = list(skew_shapes(workload))
+    assert (len(shapes), len(set(map(_shape_class, shapes)))) == (590, 128)
+    # the same cells up to translation, but labels 2 and 3
+    assert _shape_class(SkewShape((2,), (1,))) != _shape_class(SkewShape((2, 1), (1, 1)))
